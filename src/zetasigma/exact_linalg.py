@@ -1,26 +1,29 @@
 """Exact integer/rational linear algebra with certified results.
 
 Rank and kernel computations run modulo word-sized primes for speed, and
-every modular result is then promoted to a proof over the rationals:
+every modular result is then promoted to a statement over the rationals:
 
-* a nonzero pivot minor modulo p certifies ``rank >= r`` over Q;
-* candidate kernel vectors are rebuilt over Q by Chinese remaindering and
-  rational reconstruction, denominators are cleared, and ``M @ V == 0`` is
+* ``rank >= r`` rests on the modular eliminator's pivot count, which the
+  property test comparing the blocked eliminator with a plain reference
+  eliminator checks; no pivot minor is checked independently yet;
+* candidate kernel vectors are rebuilt over Q by incremental Chinese
+  remaindering and rational reconstruction in integer arithmetic, each
+  column is scaled by the lcm of its denominators, and ``M @ V == 0`` is
   established exactly by checking it modulo fresh primes whose product
   exceeds twice an explicit bound on the entries of ``M @ V``; the
-  ``n - r`` verified independent kernel vectors certify ``rank <= r``.
+  ``n - r`` verified independent kernel vectors prove ``rank <= r``.
 
 The kernel basis returned is a basis of the *saturated* integer lattice
 ``ker_Q(M) ∩ Z^n``: integrality of a rational combination of the reduced
 kernel vectors is one congruence per non-free coordinate, each solved by an
 O(t^2) update of a coefficient lattice, and the result is merged into a
-triangular basis.  Basis vectors of a saturated lattice are automatically
-primitive.
+triangular basis and back-substituted with exact integer division.  Basis
+vectors of a saturated lattice are automatically primitive.
 
 Also provided: fraction Gauss-Jordan elimination, kernels and solvers over
-Q, exact determinants by fraction-free elimination, row-space membership,
-and builders for the integer matrices of the maps alpha and delta on the
-class basis.
+Q, exact determinants by fraction-free elimination, fraction-free row-space
+membership, and builders for the integer matrices of the maps alpha and
+delta on the class basis.
 
 >>> certified_kernel([[1, 2, 3], [2, 4, 6]]).rank
 1
@@ -34,6 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -106,8 +110,9 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def _ratrec(a: int, m: int) -> Fraction | None:
-    """Rational reconstruction of a mod m with |num|, den <= sqrt(m/2)."""
+def _ratrec(a: int, m: int) -> tuple[int, int] | None:
+    """Rational reconstruction of a mod m: the coprime pair (num, den) with
+    den > 0, |num|, den <= sqrt(m/2) and num = a * den mod m, or None."""
     bound = isqrt(m // 2)
     r0, r1 = m, a % m
     t0, t1 = 0, 1
@@ -122,20 +127,11 @@ def _ratrec(a: int, m: int) -> Fraction | None:
         return None
     if (num - a * den) % m != 0:
         return None
-    return Fraction(num, den)
+    return num, den
 
 
 # ---------------------------------------------------------------------------
 # modular kernels
-
-
-def _kernel_mod_p(M: np.ndarray, p: int, work: int = 4_000_000):
-    """Row-reduce M mod p.  Returns (rank, pivot columns, X) where X is the
-    reduced-echelon block on the non-pivot (free) columns: the kernel vector
-    of free column f has 1 at that column and -X[i, f] at pivot column i."""
-    if p < (1 << 21):
-        return _kernel_mod_p_fast(M, p)
-    return _kernel_mod_p_int(M, p, work)
 
 
 def _mod_into(A: np.ndarray, p: float) -> np.ndarray:
@@ -149,11 +145,16 @@ def _mod_into(A: np.ndarray, p: float) -> np.ndarray:
 
 
 def _kernel_mod_p_fast(M: np.ndarray, p: int, block: int = 64):
-    """Blocked Gauss-Jordan mod p (p < 2^21) on exact float64 arithmetic.
+    """Row-reduce M mod p (p < 2^21) by blocked Gauss-Jordan on exact
+    float64 arithmetic.  Returns (rank, pivot columns, X) where X is the
+    reduced-echelon block on the non-pivot (free) columns: the kernel vector
+    of free column f has 1 at that column and -X[i, f] at pivot column i.
 
     Every value is an integer below 2^53, so float64 matmuls are exact and
     run on BLAS; entries stay lazily unreduced between reductions.  Pivot
-    choice matches _kernel_mod_p_int, so the two return identical results.
+    choice is the first nonzero entry at or below the current row, so the
+    result equals that of the plain row reduction ``_kernel_mod_p_int`` in
+    ``tests/test_exact_linalg.py``, which the tests compare it against.
     """
     pf = float(p)
     W = np.asarray(M % p, dtype=np.float64)
@@ -243,62 +244,32 @@ def _kernel_mod_p_fast(M: np.ndarray, p: int, block: int = 64):
     return r, tuple(pivots), X[:r].astype(np.int64)
 
 
-def _kernel_mod_p_int(M: np.ndarray, p: int, work: int = 4_000_000):
-    """Reference row reduction mod p in pure int64, valid for p < 2^31."""
-    R = (M % p).astype(np.int64)
-    m, n = R.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        col = R[r:, c]
-        nz = np.flatnonzero(col)
-        if nz.size == 0:
-            continue
-        i0 = r + int(nz[0])
-        if i0 != r:
-            R[[r, i0]] = R[[i0, r]]
-        piv = int(R[r, c])
-        if piv != 1:
-            R[r, c:] = R[r, c:] * pow(piv, p - 2, p) % p
-        below = np.flatnonzero(R[r + 1 :, c])
-        if below.size:
-            idx = below + (r + 1)
-            step = max(1, work // max(1, n - c))
-            for s in range(0, idx.size, step):
-                ii = idx[s : s + step]
-                f = R[ii, c][:, None]
-                R[ii, c:] = (R[ii, c:] - f * R[r, c:]) % p
-        pivots.append(c)
-        r += 1
-    pivset = set(pivots)
-    free = [c for c in range(n) if c not in pivset]
-    X = R[:r, free].copy() if free else np.zeros((r, 0), dtype=np.int64)
-    for i in range(r - 1, 0, -1):
-        if X.shape[1] == 0:
-            break
-        fcol = R[:i, pivots[i]]
-        if np.any(fcol):
-            X[:i, :] = (X[:i, :] - fcol[:, None] * X[i, :]) % p
-    return r, tuple(pivots), X
+def _crt_extend(big: list[list[int]], mod: int, X: np.ndarray, p: int) -> int:
+    """Chinese-remainder the residues ``big`` mod ``mod`` with the residues X
+    mod a new prime p, in place; returns the combined modulus."""
+    minv = pow(mod % p, p - 2, p)
+    for row, xrow in zip(big, X.tolist()):
+        for j, a in enumerate(row):
+            row[j] = a + mod * ((xrow[j] - a) * minv % p)
+    return mod * p
 
 
-def _crt_matrix(mats, primes):
-    """Entrywise Chinese remaindering; returns (list-of-list ints, modulus)."""
-    r, t = mats[0].shape
-    cur = [[int(mats[0][i, j]) for j in range(t)] for i in range(r)]
-    mod = primes[0]
-    for X, p in zip(mats[1:], primes[1:]):
-        minv = pow(mod % p, p - 2, p)
-        for i in range(r):
-            row, xrow = cur[i], X[i]
-            for j in range(t):
-                a = row[j]
-                h = (int(xrow[j]) - a) * minv % p
-                row[j] = a + mod * h
-        mod *= p
-    return cur, mod
+def _ratrec_matrix(big: list[list[int]], mod: int) -> list[list[tuple[int, int]]] | None:
+    """Entrywise rational reconstruction as (num, den) pairs, or None when
+    some entry has none yet."""
+    cache: dict[int, tuple[int, int] | None] = {}
+    F = []
+    for row in big:
+        frow = []
+        for x in row:
+            if x not in cache:
+                cache[x] = _ratrec(x, mod)
+            got = cache[x]
+            if got is None:
+                return None
+            frow.append(got)
+        F.append(frow)
+    return F
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +280,7 @@ def _sweep(B: list[list[int]], pvec: list[int], d: int, D: int) -> None:
     """Restrict the coefficient lattice span(B) + D*Z^t to the sublattice
     where sum_j lambda_j * pvec[j] = 0 mod d (requires d | D)."""
     t = len(B)
-    res = [sum(B[m][j] * pvec[j] for j in range(t)) % d for m in range(t)]
+    res = [sum(map(mul, row, pvec)) % d for row in B]
     car = None
     for m in range(t):
         if res[m] == 0:
@@ -360,19 +331,22 @@ def _echelon_basis_int(rows) -> list[list[int]]:
 
 def _saturate(F, pivots, free, n) -> tuple[tuple[int, ...], ...]:
     """Saturated basis of the lattice Q-spanned by the reduced kernel
-    vectors (1 at own free column, -F[i][f] at pivot column i) inside Z^n."""
+    vectors (1 at own free column, -num/den at pivot column i, where
+    F[i][f] = (num, den)) inside Z^n."""
     r, t = len(pivots), len(free)
     if t == 0:
         return ()
-    row_den = [lcm(*(F[i][f].denominator for f in range(t))) if t else 1 for i in range(r)]
-    D = lcm(1, *row_den) if r else 1
+    # pivot row i of the reduced kernel vectors is G[i] / row_den[i]
+    row_den = [lcm(*(den for _, den in row)) for row in F]
+    G = [[-num * (d // den) for num, den in row] for row, d in zip(F, row_den)]
+    D = lcm(*row_den)
     if D == 1:
         basis = []
         for f in range(t):
             v = [0] * n
             v[free[f]] = 1
             for i in range(r):
-                v[pivots[i]] = -int(F[i][f])
+                v[pivots[i]] = G[i][f]
             basis.append(tuple(v))
         return tuple(basis)
     B = [[1 if i == j else 0 for j in range(t)] for i in range(t)]
@@ -380,8 +354,7 @@ def _saturate(F, pivots, free, n) -> tuple[tuple[int, ...], ...]:
         d = row_den[i]
         if d == 1:
             continue
-        pvec = [int(-F[i][f] * d) % d for f in range(t)]
-        _sweep(B, pvec, d, D)
+        _sweep(B, [x % d for x in G[i]], d, D)
     gens = [row for row in B if any(row)]
     gens += [[D if j == f else 0 for j in range(t)] for f in range(t)]
     H = _echelon_basis_int(gens)
@@ -393,10 +366,10 @@ def _saturate(F, pivots, free, n) -> tuple[tuple[int, ...], ...]:
         for f in range(t):
             v[free[f]] = lam[f]
         for i in range(r):
-            entry = sum(Fraction(lam[f]) * (-F[i][f]) for f in range(t) if lam[f])
-            if entry.denominator != 1:
+            entry, rem = divmod(sum(map(mul, G[i], lam)), row_den[i])
+            if rem:
                 raise ReconstructionError("saturation produced a non-integer entry")
-            v[pivots[i]] = int(entry)
+            v[pivots[i]] = entry
         basis.append(tuple(v))
     return tuple(basis)
 
@@ -409,9 +382,13 @@ def _saturate(F, pivots, free, n) -> tuple[tuple[int, ...], ...]:
 class KernelCertificate:
     """Exact rank and (optionally) a saturated integer kernel basis.
 
-    ``rank`` is proven: a nonzero pivot minor mod p gives rank >= rank, and
-    ``nullity`` exactly-verified independent kernel vectors give the reverse
-    inequality.  ``basis`` rows span ker_Q(M) ∩ Z^{n_cols}."""
+    ``rank <= r`` is proven: ``nullity`` independent kernel vectors are
+    verified exactly.  ``rank >= r`` is the modular eliminator's pivot count
+    at the primes in ``primes`` (a rank mod p never exceeds the rank over
+    Q); that count is trusted, and checked only by the property test that
+    compares the eliminator with a plain reference eliminator.  An
+    independent check of the pivot minor is an open item in ROADMAP.md.
+    ``basis`` rows span ker_Q(M) ∩ Z^{n_cols}."""
 
     n_rows: int
     n_cols: int
@@ -473,45 +450,37 @@ def certified_kernel(
     if m == 0 or mmax == 0:
         basis = tuple(tuple(1 if j == f else 0 for j in range(n)) for f in range(n))
         return KernelCertificate(m, n, 0, basis if need_basis else None, ())
-    attempts: list[tuple[int, int, tuple[int, ...], np.ndarray]] = []
-    for idx in range(max_primes):
-        p = PRIMES21[idx]
-        r, pivots, X = _kernel_mod_p(M, p, chunk_rows * 1000)
-        attempts.append((p, r, pivots, X))
-        best_rank = max(a[1] for a in attempts)
-        best_piv = min(a[2] for a in attempts if a[1] == best_rank)
-        S = [a for a in attempts if a[1] == best_rank and a[2] == best_piv]
-        r, pivots = best_rank, best_piv
-        t = n - r
+    rank, pivots = 0, ()
+    S: list[int] = []  # the primes agreeing with the best (rank, pivots) so far
+    big: list[list[int]] = []  # their residues of X, combined modulo mod
+    mod = 1
+    for p in PRIMES21[:max_primes]:
+        r, piv, X = _kernel_mod_p_fast(M, p)
+        if S and (r, piv) != (rank, pivots):
+            if r < rank or (r == rank and piv > pivots):
+                # unlucky prime: the agreeing primes, and so their failure
+                # to reconstruct or verify, are those of the last attempt
+                continue
+            S = []  # a higher rank or earlier pivots: start again from p
+        if S:
+            mod = _crt_extend(big, mod, X, p)
+        else:
+            rank, pivots, big, mod = r, piv, X.tolist(), p
+        S.append(p)
+        t = n - rank
         if t == 0:
-            return KernelCertificate(m, n, r, () if need_basis else None, tuple(a[0] for a in S))
-        big, mod = _crt_matrix([a[3] for a in S], [a[0] for a in S])
-        cache: dict[int, Fraction | None] = {}
-        F: list[list[Fraction]] = []
-        ok = True
-        for row in big:
-            frow = []
-            for x in row:
-                got = cache.get(x, 0)
-                if got == 0 and x not in cache:
-                    got = cache[x] = _ratrec(x, mod)
-                if got is None:
-                    ok = False
-                    break
-                frow.append(got)
-            if not ok:
-                break
-            F.append(frow)
-        if not ok:
+            return KernelCertificate(m, n, rank, () if need_basis else None, tuple(S))
+        F = _ratrec_matrix(big, mod)
+        if F is None:
             continue
         pivset = set(pivots)
         free = [c for c in range(n) if c not in pivset]
-        L = [lcm(*(F[i][f].denominator for i in range(r))) if r else 1 for f in range(t)]
-        P = [[int(-F[i][f] * L[f]) for f in range(t)] for i in range(r)]
+        L = [lcm(*(row[f][1] for row in F)) for f in range(t)]
+        P = [[-num * (L[f] // den) for f, (num, den) in enumerate(row)] for row in F]
         if not _verify_product(M, mmax, P, L, pivots, free, chunk_rows):
             continue
         basis = _saturate(F, pivots, free, n) if need_basis else None
-        return KernelCertificate(m, n, r, basis, tuple(a[0] for a in S))
+        return KernelCertificate(m, n, rank, basis, tuple(S))
     raise ReconstructionError(f"no certificate after {max_primes} primes")
 
 
@@ -607,11 +576,21 @@ def det_bareiss(rows) -> int:
     return sign * A[n - 1][n - 1]
 
 
+def _primitive(v: list[int]) -> list[int]:
+    """v divided by the gcd of its entries."""
+    c = gcd(*v)
+    return [x // c for x in v] if c > 1 else v
+
+
 class RowSpaceQ:
-    """Echelonized Q-row-space supporting fast membership tests."""
+    """Echelonized Q-row-space supporting fast membership tests.
+
+    Rows are kept as primitive integer vectors and reduced fraction-free:
+    a rational input vector is first scaled to an integer one, which spans
+    the same line."""
 
     def __init__(self, rows=()):
-        self._rows: dict[int, list[Fraction]] = {}
+        self._rows: dict[int, list[int]] = {}
         for r in rows:
             self.insert(r)
 
@@ -619,13 +598,16 @@ class RowSpaceQ:
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, v) -> list[Fraction]:
-        v = [Fraction(x) for x in v]
+    def _reduce(self, v) -> list[int]:
+        den = lcm(*(x.denominator for x in v))
+        v = _primitive([int(x * den) for x in v])
         for piv in sorted(self._rows):
-            if v[piv]:
-                f = v[piv]
+            a = v[piv]
+            if a:
                 row = self._rows[piv]
-                v = [a - f * b for a, b in zip(v, row)]
+                g = gcd(a, row[piv])
+                b, a = row[piv] // g, a // g
+                v = _primitive([b * x - a * y for x, y in zip(v, row)])
         return v
 
     def insert(self, v) -> bool:
@@ -634,8 +616,7 @@ class RowSpaceQ:
         piv = next((i for i, x in enumerate(res) if x), None)
         if piv is None:
             return False
-        inv = 1 / res[piv]
-        self._rows[piv] = [x * inv for x in res]
+        self._rows[piv] = res
         return True
 
     def contains(self, v) -> bool:
@@ -647,7 +628,7 @@ def lattice_contains(basis, v) -> bool:
     ``basis`` (integer vector + lies in the Q-span)."""
     if any(int(x) != x for x in v):
         return False
-    return RowSpaceQ(basis).contains(v)
+    return RowSpaceQ(basis).contains([int(x) for x in v])
 
 
 def lattices_equal(basis_a, basis_b) -> bool:

@@ -2,10 +2,12 @@
 machinery, plus the frozen rank tables for alpha and delta."""
 
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from zetasigma.compositions import DualityClass, enumerate_compositions
 from zetasigma.delta import delta_class
@@ -13,7 +15,6 @@ from zetasigma.exact_linalg import (
     PRIMES21,
     KernelCertificate,
     _kernel_mod_p_fast,
-    _kernel_mod_p_int,
     alpha_matrix,
     certified_kernel,
     class_row_basis,
@@ -75,6 +76,50 @@ def test_certified_kernel_matches_fractions(rows):
         assert lattice_contains(cert.basis, iv)
 
 
+def _minors_gcd(basis, n):
+    t = len(basis)
+    g = 0
+    for cols in combinations(range(n), t):
+        g = gcd(g, det_bareiss([[v[c] for c in cols] for v in basis]))
+    return g
+
+
+@st.composite
+def wide_int_matrices(draw):
+    # entries wide enough that the reduced kernel vectors have denominators
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(1, n - 1))
+    return [[draw(st.integers(-40, 40)) for _ in range(n)] for _ in range(m)]
+
+
+@given(wide_int_matrices())
+@example([[2, 1, 1]])
+def test_certified_kernel_basis_is_saturated(rows):
+    # a t-row integer basis spans a saturated lattice iff the gcd of its
+    # t x t minors is 1; the column-scaled kernel basis of [[2, 1, 1]],
+    # (-1, 2, 0) and (-1, 0, 2), has minors gcd 2
+    cert = certified_kernel(rows)
+    n = len(rows[0])
+    assert len(cert.basis) == cert.nullity
+    if cert.basis:
+        assert _minors_gcd(cert.basis, n) == 1
+
+
+def test_certified_kernel_unlucky_primes():
+    p0, p1, p2, p3 = PRIMES21[:4]
+    # p0 hides the first pivot: the pivots switch at p1 and CRT restarts
+    switch = certified_kernel([[p0, 0, 1]])
+    assert switch.rank == 1 and switch.primes == (p1, p2, p3)
+    assert lattices_equal(switch.basis, ((1, 0, -p0), (0, 1, 0)))
+    # p2 is unlucky after two agreeing primes: it is skipped, and p3 extends
+    skip = certified_kernel([[p2, 0, 1]])
+    assert skip.rank == 1 and skip.primes == (p0, p1, p3)
+    assert lattices_equal(skip.basis, ((1, 0, -p2), (0, 1, 0)))
+    # p0 drops the rank; p1 shows full rank and needs no reconstruction
+    full = certified_kernel([[p0, 1], [0, p0]])
+    assert full.rank == 2 and full.primes == (p1,) and full.basis == ()
+
+
 def test_certified_kernel_first_pivot_needs_row_swap():
     swap = certified_kernel([[0, 1], [1, 0]])
     assert swap.rank == 2 and swap.basis == ()
@@ -99,6 +144,43 @@ def sparse_matrices_with_repeats(draw, n_cols):
         for j, e in distinct[k].items():
             M[i, j] = e
     return M
+
+
+def _kernel_mod_p_int(M: np.ndarray, p: int):
+    """Reference row reduction mod p in plain int64, valid for p < 2^31:
+    the oracle for the blocked float64 eliminator."""
+    R = (M % p).astype(np.int64)
+    m, n = R.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        nz = np.flatnonzero(R[r:, c])
+        if nz.size == 0:
+            continue
+        i0 = r + int(nz[0])
+        if i0 != r:
+            R[[r, i0]] = R[[i0, r]]
+        piv = int(R[r, c])
+        if piv != 1:
+            R[r, c:] = R[r, c:] * pow(piv, p - 2, p) % p
+        idx = np.flatnonzero(R[r + 1 :, c]) + (r + 1)
+        if idx.size:
+            f = R[idx, c][:, None]
+            R[idx, c:] = (R[idx, c:] - f * R[r, c:]) % p
+        pivots.append(c)
+        r += 1
+    pivset = set(pivots)
+    free = [c for c in range(n) if c not in pivset]
+    X = R[:r, free].copy() if free else np.zeros((r, 0), dtype=np.int64)
+    for i in range(r - 1, 0, -1):
+        if X.shape[1] == 0:
+            break
+        fcol = R[:i, pivots[i]]
+        if np.any(fcol):
+            X[:i, :] = (X[:i, :] - fcol[:, None] * X[i, :]) % p
+    return r, tuple(pivots), X
 
 
 @pytest.mark.parametrize(
