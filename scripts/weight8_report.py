@@ -15,6 +15,8 @@ from fractions import Fraction
 from mpmath import mp
 
 from zetasigma import numerics as num
+from zetasigma.compositions import DualityClass
+from zetasigma.lincomb import LinComb
 
 
 def main() -> int:
@@ -24,19 +26,17 @@ def main() -> int:
     d = args.digits
 
     with mp.workprec(num.work_bits(d + 12, 1 << 12)):
-        lhs = (
-            num.sigma_tail((2, 6), 0, d).scale(18)
-            + num.sigma_tail((4, 4), 0, d).scale(65)
-            + num.sigma_tail((2, 2, 4), 0, d).scale(12)
-        )
+        lhs = num.evaluate(LinComb({(2, 6): 18, (4, 4): 65, (2, 2, 4): 12}), 0, d)
         # zeta(2,2,2,2) = pi^8/9!
         z2222 = num.pi(d).pow_int(8).scale(Fraction(1, math.factorial(9)))
-        rhs = (
-            z2222.scale(Fraction(1593337, 240))
-            - num.zeta_sym_tail((3, 3, 2), 0, d).scale(747)
-            - num.zeta_sym_tail((3, 2, 3), 0, d).scale(818)
-            - num.zeta_sym_tail((2, 3, 3), 0, d).scale(842)
-        ).scale(Fraction(16, 825))
+        zetas = LinComb(
+            {
+                DualityClass.of((3, 3, 2)): 747,
+                DualityClass.of((3, 2, 3)): 818,
+                DualityClass.of((2, 3, 3)): 842,
+            }
+        )
+        rhs = (z2222.scale(Fraction(1593337, 240)) - num.evaluate(zetas, 0, d)).scale(Fraction(16, 825))
 
         print(f"lhs = {lhs.formatted(d)}")
         print(f"rhs = {rhs.formatted(d)}")

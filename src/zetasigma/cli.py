@@ -38,6 +38,8 @@ from .delta import (
     delta_inductive,
     delta_submatrix,
     family_all_twos,
+    family_even_alternating,
+    family_leshchiner,
     family_selfdual_t4,
     family_t_family,
 )
@@ -254,30 +256,6 @@ def _no_params(params: dict, allowed=()) -> None:
         raise ValueError(f"unknown --params keys: {', '.join(bad)}")
 
 
-def _sigma_combo(terms, n: int, digits: int):
-    tot = None
-    for a, cf in terms:
-        t = num.sigma_tail(tuple(a), n, digits).scale(cf)
-        tot = t if tot is None else tot + t
-    return tot
-
-
-def _eval_class_side(lc: LinComb, n: int, digits: int):
-    tot = None
-    for c, cf in lc.items():
-        t = num.zeta_sym_tail(c, n, digits).scale(cf)
-        tot = t if tot is None else tot + t
-    return tot
-
-
-def _eval_comp_side(lc: LinComb, n: int, digits: int):
-    tot = None
-    for b, cf in lc.items():
-        t = num.sigma_tail(b, n, digits).scale(cf)
-        tot = t if tot is None else tot + t
-    return tot
-
-
 def _id_euler(d: int, params: dict) -> list:
     _no_params(params)
     di = d + 8
@@ -290,7 +268,7 @@ def _id_zeta3(d: int, params: dict) -> list:
     _no_params(params)
     di = d + 8
     lhs = num.zeta_int(3, di)
-    rhs = _sigma_combo((((3,), 2), ((2, 1), 3)), 0, di)
+    rhs = num.evaluate(LinComb({(3,): 2, (2, 1): 3}), 0, di)
     return [_nc("zeta(3) == 2*sigma(3) + 3*sigma(2,1)", lhs, rhs, d)]
 
 
@@ -313,29 +291,18 @@ def _id_weight4(d: int, params: dict) -> list:
         ),
         _nc(
             "2*sigma(3,1) + 3*sigma(2,1,1) == pi^4/1620",
-            _sigma_combo((((3, 1), 2), ((2, 1, 1), 3)), 0, di),
+            num.evaluate(LinComb({(3, 1): 2, (2, 1, 1): 3}), 0, di),
             p4.scale(Fraction(1, 1620)),
             d,
         ),
     ]
 
 
-_EU87_FIRST = (
-    ((4, 1), 1),
-    ((3, 2), 6),
-    ((3, 1, 1), 4),
-    ((2, 3), 6),
-    ((2, 2, 1), 9),
-    ((2, 1, 2), 9),
-    ((2, 1, 1, 1), 6),
+_EU87_FIRST = LinComb(
+    {(4, 1): 1, (3, 2): 6, (3, 1, 1): 4, (2, 3): 6, (2, 2, 1): 9, (2, 1, 2): 9, (2, 1, 1, 1): 6}
 )
-_EU87_SECOND = (
-    ((4, 1), 11),
-    ((3, 2), 10),
-    ((3, 1, 1), 30),
-    ((2, 2, 1), 21),
-    ((2, 1, 2), 15),
-    ((2, 1, 1, 1), 45),
+_EU87_SECOND = LinComb(
+    {(4, 1): 11, (3, 2): 10, (3, 1, 1): 30, (2, 2, 1): 21, (2, 1, 2): 15, (2, 1, 1, 1): 45}
 )
 
 
@@ -344,8 +311,8 @@ def _id_eu87(d: int, params: dict) -> list:
     di = d + 8
     s5 = num.sigma_tail((5,), 0, di)
     return [
-        _nc("sigma(5), depth-mixed expansion", s5, _sigma_combo(_EU87_FIRST, 0, di), d),
-        _nc("sigma(5), second expansion", s5, _sigma_combo(_EU87_SECOND, 0, di), d),
+        _nc("sigma(5), depth-mixed expansion", s5, num.evaluate(_EU87_FIRST, 0, di), d),
+        _nc("sigma(5), second expansion", s5, num.evaluate(_EU87_SECOND, 0, di), d),
     ]
 
 
@@ -353,9 +320,7 @@ def _id_eu88(d: int, params: dict) -> list:
     _no_params(params)
     di = d + 8
     lhs = num.sigma_tail((4, 1), 0, di).scale(4)
-    rhs = _sigma_combo(
-        (((2, 2, 1), 6), ((3, 1, 1), 22), ((2, 1, 1, 1), 33)), 0, di
-    )
+    rhs = num.evaluate(LinComb({(2, 2, 1): 6, (3, 1, 1): 22, (2, 1, 1, 1): 33}), 0, di)
     return [_nc("4*sigma(4,1) == 6*sigma(2,2,1) + 22*sigma(3,1,1) + 33*sigma(2,1,1,1)", lhs, rhs, d)]
 
 
@@ -383,10 +348,6 @@ def _id_zucker(d: int, params: dict) -> list:
         ),
     ]
     return checks
-
-
-def _vector_check(name, vec, target, d, di):
-    return _nc(name, vec.evaluate(di), target, d)
 
 
 def _id_th7(d: int, params: dict) -> list:
@@ -435,12 +396,8 @@ def _id_bbb(d: int, params: dict) -> list:
         raise ValueError("bbb: k must be even, 2..12")
     di = d + 8
     lhs = num.zeta_int(k, di)
-    tot = None
-    for a in enumerate_compositions(k, "even_entries"):
-        cf = -((-3) ** len(a))
-        t = num.sigma_tail(a, 0, di).scale(cf)
-        tot = t if tot is None else tot + t
-    return [_nc(f"zeta({k}) == alternating even-composition sum", lhs, tot, d)]
+    rhs = num.evaluate(-family_even_alternating(k)[1], 0, di)
+    return [_nc(f"zeta({k}) == alternating even-composition sum", lhs, rhs, d)]
 
 
 def _id_leshchiner(d: int, params: dict) -> list:
@@ -448,13 +405,9 @@ def _id_leshchiner(d: int, params: dict) -> list:
     k = int(params.get("k", 6))
     if k < 4 or k % 2 or k > 12:
         raise ValueError("leshchiner: k must be even, 4..12")
-    m = k // 2
     di = d + 8
     lhs = num.zeta_int(k, di).scale(2 - Fraction(2, 2 ** (k - 1)))
-    terms = [(((2,) * m), 3 * (-1) ** (m - 1))]
-    for c in range(2, m + 1):
-        terms.append(((2 * c,) + (2,) * (m - c), 4 * (-1) ** (m - c)))
-    rhs = _sigma_combo(terms, 0, di)
+    rhs = num.evaluate(family_leshchiner(k)[1], 0, di)
     return [_nc(f"2*(1-2^(1-{k}))*zeta({k}) == alternating depth sum", lhs, rhs, d)]
 
 
@@ -467,7 +420,7 @@ def _id_all_twos(d: int, params: dict) -> list:
     di = d + 8
     _, rhs_lc = family_all_twos(m)
     lhs = num.zeta_sym_tail(DualityClass.of((2,) * m), n, di)
-    rhs = _eval_comp_side(rhs_lc, n, di)
+    rhs = num.evaluate(rhs_lc, n, di)
     return [_nc(f"zeta-tail(2^{m}) at n={n} == weighted sigma tails", lhs, rhs, d)]
 
 
@@ -480,8 +433,8 @@ def _id_th17(d: int, params: dict) -> list:
     di = d + 8
     lhs_lc, rhs_lc = family_selfdual_t4(r)
     checks = [_ec(f"delta of signed height-weighted sum, weight {2 * r}", delta_inductive(lhs_lc) == rhs_lc)]
-    lhs = _eval_class_side(lhs_lc, n, di)
-    rhs = _eval_comp_side(rhs_lc, n, di)
+    lhs = num.evaluate(lhs_lc, n, di)
+    rhs = num.evaluate(rhs_lc, n, di)
     checks.append(_nc(f"numeric contraction at n={n}", lhs, rhs, d))
     return checks
 
@@ -523,7 +476,7 @@ def _id_t1_spotcheck(d: int, params: dict) -> list:
         dlc = delta_class(c)
         for n in (0, 1, 3):
             lhs = num.zeta_sym_tail(c, n, di)
-            rhs = _eval_comp_side(dlc, n, di)
+            rhs = num.evaluate(dlc, n, di)
             checks.append(_nc(f"zeta-tail{format_class(c)} at n={n}", lhs, rhs, d))
     return checks
 

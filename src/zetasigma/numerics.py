@@ -17,10 +17,14 @@ Notation used throughout the module:
   nested zeta value of the composition.
 * ``L(s, chi3)``    = Dirichlet L value for the quadratic character mod 3.
 
+One descent evaluates every tail: ``sigma_tail``, ``zeta_sym_tail`` and
+``evaluate`` (a linear combination of both kinds, keyed by compositions and
+duality classes) step all the recurrences they need down together.
+
 Two independent oracles (``sigma_oracle``, ``zeta_double_tail_oracle``)
 evaluate the same sums by direct prefix-sum dynamic programming with their
-own error accounting; they share no code with the production evaluators
-``sigma_tail`` / ``zeta_sym_tail`` and exist to cross-check them.
+own error accounting; they share no code with the production descent and
+exist to cross-check it.
 
 ``reduce_integer_entries`` rewrites sigma sums whose index tuple contains
 zero or negative entries as polynomial-coefficient combinations of genuine
@@ -52,7 +56,7 @@ from .compositions import (
     mid_part,
 )
 from .delta import delta_class
-from .lincomb import LinComb, Poly
+from .lincomb import LinComb, Poly, _basis_weight
 
 __all__ = [
     "ApproxReal",
@@ -69,6 +73,7 @@ __all__ = [
     "eu127_matrix",
     "eu128_matrix",
     "eu129_matrix",
+    "evaluate",
     "evaluate_reduction",
     "harmonic",
     "hurwitz_rational",
@@ -762,6 +767,74 @@ def _sigma_depth_bound(i: int) -> Fraction:
     return _SIGMA_C0 * _SIGMA_RHO ** (i - 1) / math.factorial(i - 1)
 
 
+def _edges(node) -> tuple:
+    """The (child, exponent) pairs of the exact one-step recurrence
+    tail(node)_{m-1} - tail(node)_m = sum of m^(-exponent) * tail(child)_m.
+
+    A composition prefix p has the single child init(p); a duality class of
+    weight k has its init, mid and fin classes.  A child of weight 0 is the
+    key ``()``, whose tail is the base 1/C(2m, m).
+    """
+    if isinstance(node, DualityClass):
+        a = node.rep
+        return tuple(
+            (DualityClass.of(p) if p else (), node.weight - sum(p))
+            for p in (init_part(a), mid_part(a), fin_part(a))
+        )
+    return ((node[:-1], node[-1]),) if node else ()
+
+
+def _seed_bound(node) -> Fraction:
+    """tail(node)_M <= bound * 4^-M for every M."""
+    if isinstance(node, DualityClass):
+        return Fraction(1645, 1000)
+    return _sigma_depth_bound(len(node))
+
+
+def _base(m: int) -> ApproxReal:
+    return ApproxReal.from_fraction(Fraction(1, math.comb(2 * m, m)))
+
+
+def _descend(keys, n: int, d: int) -> dict:
+    """tail(key)_n to d digits for every key, by one descent over the union of
+    the keys' recurrence graphs: a composition key is a sigma tail, a
+    DualityClass key a zeta_sym tail, and a key of weight 0 the base.
+
+    Every node starts from its seed bound at a common start M and steps down
+    to n; nodes update in place in decreasing weight, so each node reads its
+    children's values at m.
+    """
+    graph: dict = {}
+    stack = list(keys)
+    while stack:
+        node = stack.pop()
+        if node not in graph:
+            graph[node] = _edges(node)
+            stack.extend(child for child, _ in graph[node])
+    nodes = sorted((v for v in graph if _basis_weight(v)), key=_basis_weight, reverse=True)
+    target = Fraction(1, 10 ** (d + 6))
+    top = max((_seed_bound(v) for v in nodes), default=0)
+    start = 1
+    while top / 4**start > target:
+        start += 1
+    start = max(start, n + 1)
+    fan = max((len(graph[v]) for v in nodes), default=1)
+    with mp.workprec(_bits(d, (start + 4) * (len(nodes) + 2) * fan)):
+        vals = {v: ApproxReal(0, _mpf_upper(_seed_bound(v) / 4**start)) for v in nodes}
+        for m in range(start, n, -1):
+            vals[()] = _base(m)
+            for v in nodes:
+                acc = None
+                for child, e in graph[v]:
+                    t = vals[child].scale(Fraction(1, m**e))
+                    acc = t if acc is None else acc + t
+                vals[v] = vals[v] + acc
+        for key in keys:
+            if not _basis_weight(key):
+                vals[key] = _base(n)
+        return vals
+
+
 def sigma_tail(a, n: int = 0, digits=None) -> ApproxReal:
     """sigma(a)_n to the requested accuracy, by the exact one-step recurrence
     sigma(p)_{m-1} - sigma(p)_m = m^(-last(p)) sigma(init(p))_m applied
@@ -775,33 +848,7 @@ def sigma_tail(a, n: int = 0, digits=None) -> ApproxReal:
     if n < 0:
         raise ValueError("need n >= 0")
     d = PRECISION.check(digits)
-    r = len(a)
-    if r == 0:
-        with mp.workprec(_bits(d, 16)):
-            return ApproxReal.from_fraction(Fraction(1, math.comb(2 * n, n)))
-    target = Fraction(1, 10 ** (d + 6))
-    start = 1
-    while Fraction(_SIGMA_C0, 4**start) > target:
-        start += 1
-    start = max(start, n + 1)
-    with mp.workprec(_bits(d, (start + 4) * (r + 2))):
-        vals = [None] * (r + 1)
-        for i in range(1, r + 1):
-            vals[i] = ApproxReal(0, _mpf_upper(_sigma_depth_bound(i) / 4**start))
-        for m in range(start, n, -1):
-            base = ApproxReal.from_fraction(Fraction(1, math.comb(2 * m, m)))
-            for i in range(r, 0, -1):
-                prev = vals[i - 1] if i > 1 else base
-                vals[i] = vals[i] + prev.scale(Fraction(1, m ** a[i - 1]))
-        return vals[r]
-
-
-def _part_classes(c: DualityClass) -> tuple:
-    a = c.rep
-    return tuple(
-        DualityClass.of(p) if p else DualityClass(())
-        for p in (init_part(a), mid_part(a), fin_part(a))
-    )
+    return _descend((a,), n, d)[a]
 
 
 def zeta_sym_tail(c, n: int = 0, digits=None) -> ApproxReal:
@@ -820,39 +867,32 @@ def zeta_sym_tail(c, n: int = 0, digits=None) -> ApproxReal:
     if n < 0:
         raise ValueError("need n >= 0")
     d = PRECISION.check(digits)
-    if c.weight == 0:
-        with mp.workprec(_bits(d, 16)):
-            return ApproxReal.from_fraction(Fraction(1, math.comb(2 * n, n)))
+    return _descend((c,), n, d)[c]
 
-    closure: dict = {}
-    stack = [c]
-    while stack:
-        cls = stack.pop()
-        if cls in closure or cls.weight == 0:
-            continue
-        parts = _part_classes(cls)
-        closure[cls] = parts
-        stack.extend(p for p in parts if p.weight and p not in closure)
 
-    target = Fraction(1, 10 ** (d + 6))
-    start = 1
-    while Fraction(1645, 1000 * 4**start) > target:
-        start += 1
-    start = max(start, n + 1)
-    with mp.workprec(_bits(d, (start + 4) * (len(closure) + 2) * 3)):
-        cur = {cls: ApproxReal(0, _mpf_upper(Fraction(1645, 1000 * 4**start))) for cls in closure}
-        for m in range(start, n, -1):
-            base = ApproxReal.from_fraction(Fraction(1, math.comb(2 * m, m)))
-            nxt = {}
-            for cls, parts in closure.items():
-                k_cls = cls.weight
-                add = ApproxReal(0, 0)
-                for part in parts:
-                    val = cur[part] if part.weight else base
-                    add = add + val.scale(Fraction(1, m ** (k_cls - part.weight)))
-                nxt[cls] = cur[cls] + add
-            cur = nxt
-        return cur[c]
+def evaluate(lc: LinComb, n: int = 0, digits=None) -> ApproxReal:
+    """sum of c * tail(b)_n over the terms c * b of lc, by one descent.
+
+    The key type picks the tail: a composition b gives sigma(b)_n and a
+    DualityClass b gives zeta_sym(b)_n; the key ``()`` gives 1/C(2n, n).
+    Coefficients are rational.
+
+    >>> zeta3 = LinComb({(3,): 2, (2, 1): 3})
+    >>> residual_upper(zeta_int(3, 30), evaluate(zeta3, 0, 30)) < 1e-30
+    True
+    """
+    n = int(n)
+    if n < 0:
+        raise ValueError("need n >= 0")
+    d = PRECISION.check(digits)
+    keys = [b if isinstance(b, DualityClass) else check_composition(b) for b, _ in lc.items()]
+    vals = _descend(keys, n, d)
+    total = None
+    with mp.workprec(_bits(d, len(lc))):
+        for b, c in lc.items():
+            t = vals[b].scale(c)
+            total = t if total is None else total + t
+    return ApproxReal(0, 0) if total is None else total
 
 
 # ---------------------------------------------------------------------------

@@ -47,33 +47,6 @@ def tol(digits: int):
     return mp.mpf(10) ** (-digits)
 
 
-def combo_sigma(terms, n, digits):
-    """Sum of scaled sigma tails: terms is ((composition, coeff), ...)."""
-    tot = None
-    for a, cf in terms:
-        t = num.sigma_tail(tuple(a), n, digits).scale(cf)
-        tot = t if tot is None else tot + t
-    return tot
-
-
-def eval_comp_side(lc, n, digits):
-    """Contract a LinComb over compositions against sigma tails."""
-    tot = None
-    for b, cf in lc.items():
-        t = num.sigma_tail(b, n, digits).scale(cf)
-        tot = t if tot is None else tot + t
-    return tot
-
-
-def eval_class_side(lc, n, digits):
-    """Contract a LinComb over classes against symmetric zeta tails."""
-    tot = None
-    for c, cf in lc.items():
-        t = num.zeta_sym_tail(c, n, digits).scale(cf)
-        tot = t if tot is None else tot + t
-    return tot
-
-
 def assert_close(lhs, rhs, digits, label=""):
     r = num.residual_upper(lhs, rhs)
     assert r <= tol(digits), f"{label}: residual {mp.nstr(r, 5)} > 1e-{digits}"

@@ -12,7 +12,6 @@ import pytest
 
 from conftest import (
     assert_close,
-    eval_comp_side,
     requires_extended,
     tol,
 )
@@ -161,14 +160,6 @@ def test_criterion_3_intersection_equals_kernel():
 # --------------------------------------------------------------- criterion 4
 # Forty-digit numeric identity suite; every residual below 1e-35.
 
-def _sigma_combo(terms, n, digits):
-    tot = None
-    for a, cf in terms:
-        t = num.sigma_tail(tuple(a), n, digits).scale(cf)
-        tot = t if tot is None else tot + t
-    return tot
-
-
 def test_criterion_4_numeric_identity_suite():
     t0 = time.monotonic()
     d = 40
@@ -179,13 +170,13 @@ def test_criterion_4_numeric_identity_suite():
     L2 = num.L_chi3(2, d)
 
     checks.append(("zeta(2)", num.zeta_int(2, d), num.sigma_tail((2,), 0, d).scale(3)))
-    checks.append(("zeta(3)", num.zeta_int(3, d), _sigma_combo((((3,), 2), ((2, 1), 3)), 0, d)))
+    checks.append(("zeta(3)", num.zeta_int(3, d), num.evaluate(LinComb({(3,): 2, (2, 1): 3}), 0, d)))
     checks.append(("sigma(4)", num.sigma_tail((4,), 0, d), pi.pow_int(4).scale(Fraction(17, 3240))))
     checks.append(("sigma(2,2)", num.sigma_tail((2, 2), 0, d), pi.pow_int(4).scale(Fraction(1, 1944))))
     checks.append(
         (
             "weight-4 combination",
-            _sigma_combo((((3, 1), 2), ((2, 1, 1), 3)), 0, d),
+            num.evaluate(LinComb({(3, 1): 2, (2, 1, 1): 3}), 0, d),
             pi.pow_int(4).scale(Fraction(1, 1620)),
         )
     )
@@ -216,13 +207,13 @@ def test_criterion_4_numeric_identity_suite():
         ((2, 1, 1, 1), 45),
     )
     s5 = num.sigma_tail((5,), 0, d)
-    checks.append(("weight-5 expansion 1", s5, _sigma_combo(eu87_first, 0, d)))
-    checks.append(("weight-5 expansion 2", s5, _sigma_combo(eu87_second, 0, d)))
+    checks.append(("weight-5 expansion 1", s5, num.evaluate(LinComb(eu87_first), 0, d)))
+    checks.append(("weight-5 expansion 2", s5, num.evaluate(LinComb(eu87_second), 0, d)))
     checks.append(
         (
             "4 sigma(4,1)",
             num.sigma_tail((4, 1), 0, d).scale(4),
-            _sigma_combo((((2, 2, 1), 6), ((3, 1, 1), 22), ((2, 1, 1, 1), 33)), 0, d),
+            num.evaluate(LinComb({(2, 2, 1): 6, (3, 1, 1): 22, (2, 1, 1, 1): 33}), 0, d),
         )
     )
 
@@ -245,15 +236,12 @@ def test_criterion_4_numeric_identity_suite():
     for a in range(2, 9):
         terms = [((b,) + (1,) * (a - b), 2) for b in range(3, a + 1)]
         terms.append(((2,) + (1,) * (a - 2), 3))
-        checks.append((f"zeta({a}) depth-one", num.zeta_int(a, d), _sigma_combo(terms, 0, d)))
+        checks.append((f"zeta({a}) depth-one", num.zeta_int(a, d), num.evaluate(LinComb(terms), 0, d)))
 
     # alternating even-composition sums
     for k in (4, 6, 8):
-        tot = None
-        for a in enumerate_compositions(k, "even_entries"):
-            t = num.sigma_tail(a, 0, d).scale(-((-3) ** len(a)))
-            tot = t if tot is None else tot + t
-        checks.append((f"zeta({k}) even alternating", num.zeta_int(k, d), tot))
+        even = LinComb((a, -((-3) ** len(a))) for a in enumerate_compositions(k, "even_entries"))
+        checks.append((f"zeta({k}) even alternating", num.zeta_int(k, d), num.evaluate(even, 0, d)))
 
     # alternating first-entry expansions of the eta-like combination
     for k in (4, 6, 8):
@@ -265,7 +253,7 @@ def test_criterion_4_numeric_identity_suite():
             (
                 f"2(1-2^(1-{k})) zeta({k})",
                 num.zeta_int(k, d).scale(2 - Fraction(2, 2 ** (k - 1))),
-                _sigma_combo(terms, 0, d),
+                num.evaluate(LinComb(terms), 0, d),
             )
         )
 
@@ -277,7 +265,7 @@ def test_criterion_4_numeric_identity_suite():
                 (
                     f"all-twos m={m} n={n}",
                     num.zeta_sym_tail((2,) * m, n, d),
-                    eval_comp_side(rhs_lc, n, d),
+                    num.evaluate(rhs_lc, n, d),
                 )
             )
 
@@ -293,7 +281,7 @@ def test_criterion_4_numeric_identity_suite():
 
 def _check_t1(c, n, digits):
     lhs = num.zeta_sym_tail(c, n, digits + 2)
-    rhs = eval_comp_side(delta_class(c), n, digits + 2)
+    rhs = num.evaluate(delta_class(c), n, digits + 2)
     assert_close(lhs, rhs, digits, f"{c} at n={n}")
 
 
@@ -594,7 +582,7 @@ def test_criterion_12_oracle_duality():
 
 def test_weight8_conjecture_report():
     d = 50
-    lhs = _sigma_combo((((2, 6), 18), ((4, 4), 65), ((2, 2, 4), 12)), 0, d)
+    lhs = num.evaluate(LinComb({(2, 6): 18, (4, 4): 65, (2, 2, 4): 12}), 0, d)
     z2222 = num.pi(d).pow_int(8).scale(Fraction(1, math.factorial(9)))
     rhs = (
         z2222.scale(Fraction(1593337, 240))

@@ -2,6 +2,7 @@
 rational constant vectors, the independent oracles, and the frozen
 reference digits."""
 
+import itertools
 import json
 import math
 import random
@@ -22,7 +23,6 @@ from conftest import (
     ZETA7_50,
     ZETA9_50,
     assert_close,
-    eval_comp_side,
     tol,
 )
 from zetasigma import numerics as num
@@ -34,8 +34,8 @@ from zetasigma.compositions import (
     mid_part,
     weight,
 )
-from zetasigma.delta import delta_class
-from zetasigma.lincomb import Poly
+from zetasigma.delta import delta_class, delta_inductive
+from zetasigma.lincomb import LinComb, Poly
 
 SIGMA2_45 = "0.548311355616075478824138388882008396406316634"
 
@@ -270,8 +270,66 @@ def test_symmetric_equals_sigma_of_delta():
             img = delta_class(c)
             for n in (0, 1, 3):
                 lhs = num.zeta_sym_tail(c, n, 32)
-                rhs = eval_comp_side(img, n, 32)
+                rhs = num.evaluate(img, n, 32)
                 assert_close(lhs, rhs, 30, f"{c} at n={n}")
+
+
+# ------------------------------------------------------------------ evaluate
+
+SMALL_COMPS = [a for r in (1, 2, 3) for a in itertools.product(range(1, 5), repeat=r) if sum(a) <= 6]
+SMALL_CLASSES = [c for k in range(2, 6) for c in enumerate_compositions(k, "classes")]
+tail_ns = st.sampled_from((0, 1, 3))
+coeffs = st.integers(-9, 9)
+
+
+@st.composite
+def comp_lincombs(draw):
+    # a composition of depth >= 2 together with its init, so the terms share
+    # a prefix, plus up to three more terms
+    a = draw(st.sampled_from([a for a in SMALL_COMPS if len(a) >= 2]))
+    keys = [a, a[:-1]] + draw(st.lists(st.sampled_from(SMALL_COMPS), max_size=3))
+    return LinComb((b, draw(coeffs)) for b in keys)
+
+
+def _sum_scaled(lc, tail):
+    out = num.ApproxReal(0, 0)
+    for b, c in lc.items():
+        out = out + tail(b).scale(c)
+    return out
+
+
+@given(comp_lincombs(), tail_ns)
+def test_evaluate_sigma_combinations(lc, n):
+    got = num.evaluate(lc, n, 30)
+    oracle = _sum_scaled(lc, lambda b: num.sigma_oracle(b, n, 12))
+    assert abs(got.value - oracle.value) <= got.abs_error + oracle.abs_error
+    one_by_one = _sum_scaled(lc, lambda b: num.sigma_tail(b, n, 30))
+    assert num.residual_upper(got, one_by_one) <= mp.mpf("1e-28")
+
+
+@given(st.lists(st.tuples(st.sampled_from(SMALL_CLASSES), coeffs), min_size=1, max_size=3), tail_ns)
+def test_evaluate_classes_equals_evaluate_of_delta(terms, n):
+    lc = LinComb(terms)
+    got = num.evaluate(lc, n, 30)
+    assert num.residual_upper(got, num.evaluate(delta_inductive(lc), n, 30)) <= mp.mpf("1e-28")
+
+
+def test_evaluate_explicit_examples():
+    zero = num.evaluate(LinComb.zero(), 2, 20)
+    assert zero.value == 0 and zero.abs_error == 0
+    for n in (0, 1, 4):
+        for key in ((), DualityClass(())):
+            x = num.evaluate(LinComb.single(key), n, 20)
+            assert abs(x.value - Fraction(1, math.comb(2 * n, n))) <= x.abs_error
+    # zeta_sym(2)_n = 3 sigma(2)_n, and a class key beside composition keys
+    mixed = LinComb({DualityClass.of((2,)): 1, (2,): -3, DualityClass.of((3,)): 2, (2, 1): -2})
+    for n in (0, 3):
+        want = num.zeta_sym_tail((3,), n, 30).scale(2) - num.sigma_tail((2, 1), n, 30).scale(2)
+        assert_close(num.evaluate(mixed, n, 30), want, 28, f"mixed at n={n}")
+    with pytest.raises(ValueError):
+        num.evaluate(LinComb.single((2,)), -1, 20)
+    with pytest.raises(ValueError):
+        num.evaluate(LinComb.single((2, 0)), 0, 20)
 
 
 # ------------------------------------------------------------ relation suite
@@ -295,20 +353,12 @@ EU87_SECOND = (
 )
 
 
-def _combo(terms, digits):
-    tot = None
-    for a, cf in terms:
-        t = num.sigma_tail(a, 0, digits).scale(cf)
-        tot = t if tot is None else tot + t
-    return tot
-
-
 def test_weight5_sigma_relations():
     s5 = num.sigma_tail((5,), 0, 42)
-    assert_close(s5, _combo(EU87_FIRST, 42), 40, "first weight-5 relation")
-    assert_close(s5, _combo(EU87_SECOND, 42), 40, "second weight-5 relation")
+    assert_close(s5, num.evaluate(LinComb(EU87_FIRST), 0, 42), 40, "first weight-5 relation")
+    assert_close(s5, num.evaluate(LinComb(EU87_SECOND), 0, 42), 40, "second weight-5 relation")
     lhs = num.sigma_tail((4, 1), 0, 42).scale(4)
-    rhs = _combo((((2, 2, 1), 6), ((3, 1, 1), 22), ((2, 1, 1, 1), 33)), 42)
+    rhs = num.evaluate(LinComb({(2, 2, 1): 6, (3, 1, 1): 22, (2, 1, 1, 1): 33}), 0, 42)
     assert_close(lhs, rhs, 40, "4 sigma(4,1) relation")
 
 
