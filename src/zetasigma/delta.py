@@ -28,7 +28,6 @@ coefficients :func:`c_b_poly`, and the even/self-dual submatrix
 from __future__ import annotations
 
 import math
-import threading
 
 from .compositions import (
     Composition,
@@ -50,7 +49,6 @@ from .lincomb import LinComb, Poly, T, alpha, class_projection, mu_invert
 from .stuffle import boxast
 
 _MEMO: dict = {}
-_MEMO_LOCK = threading.RLock()
 
 
 def delta_class(c: DualityClass) -> LinComb:
@@ -58,18 +56,13 @@ def delta_class(c: DualityClass) -> LinComb:
     hit = _MEMO.get(c)
     if hit is not None:
         return hit
-    with _MEMO_LOCK:
-        hit = _MEMO.get(c)
-        if hit is not None:
-            return hit
-        if len(c.rep) == 0:
-            val = LinComb.single(())
-        else:
-            k = c.weight
-            target = alpha(LinComb.single(c)).map_basis(delta_class)
-            val = mu_invert(target, k)
-        _MEMO[c] = val
-        return val
+    if len(c.rep) == 0:
+        val = LinComb.single(())
+    else:
+        target = alpha(LinComb.single(c)).map_basis(delta_class)
+        val = mu_invert(target, c.weight)
+    _MEMO[c] = val
+    return val
 
 
 def delta_inductive(lc: LinComb) -> LinComb:

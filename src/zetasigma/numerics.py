@@ -2,11 +2,12 @@
 
 Exact rational scaffolding (Bernoulli numbers, a Machin-style pi enclosure,
 Euler--Maclaurin Hurwitz zeta with a proven remainder rule) feeds a small
-self-validating arithmetic: every approximate quantity is an ``ApproxReal``
-carrying a floating value together with a bound on its absolute error, and
-every operation propagates those bounds conservatively.  A reported
-enclosure ``value +- abs_error`` is honest: recomputing at higher precision
-stays inside it.
+self-validating arithmetic: every result is an ``ApproxReal`` carrying a
+floating value together with a bound on its absolute error.  Constants and
+closed forms propagate those bounds conservatively through each operation;
+the tail descent counts its own rounding exactly in fixed point (below).
+A reported enclosure ``value +- abs_error`` is honest: recomputing at
+higher precision stays inside it.
 
 Notation used throughout the module:
 
@@ -19,7 +20,11 @@ Notation used throughout the module:
 
 One descent evaluates every tail: ``sigma_tail``, ``zeta_sym_tail`` and
 ``evaluate`` (a linear combination of both kinds, keyed by compositions and
-duality classes) step all the recurrences they need down together.
+duality classes) step all the recurrences they need down together.  The
+descent runs in Python integers scaled by 2^B: each node holds its value
+and an exact bound on its error in ulps of 2^-B (the seed's truncation
+bound, carried through every division, plus one ulp per floor division),
+and one ``ApproxReal`` is built per requested key at the end.
 
 Two independent oracles (``sigma_oracle``, ``zeta_double_tail_oracle``)
 evaluate the same sums by direct prefix-sum dynamic programming with their
@@ -141,7 +146,7 @@ def _rnd(v) -> "mp.mpf":
     # Bound for the rounding of the single mpf operation that produced v,
     # with a factor-16 safety margin that also absorbs the (relatively
     # negligible) rounding inside our own error-term arithmetic.
-    return abs(v) * mp.mpf(2) ** (4 - mp.prec)
+    return mp.ldexp(abs(v), 4 - mp.prec)
 
 
 def _mpf_upper(q: Fraction) -> "mp.mpf":
@@ -791,18 +796,17 @@ def _seed_bound(node) -> Fraction:
     return _sigma_depth_bound(len(node))
 
 
-def _base(m: int) -> ApproxReal:
-    return ApproxReal.from_fraction(Fraction(1, math.comb(2 * m, m)))
-
-
-def _descend(keys, n: int, d: int) -> dict:
+def _descend(keys, n: int, d: int) -> tuple:
     """tail(key)_n to d digits for every key, by one descent over the union of
     the keys' recurrence graphs: a composition key is a sigma tail, a
     DualityClass key a zeta_sym tail, and a key of weight 0 the base.
 
     Every node starts from its seed bound at a common start M and steps down
     to n; nodes update in place in decreasing weight, so each node reads its
-    children's values at m.
+    children's values at m.  The descent runs in integers scaled by 2^B: a
+    node holds V ~ 2^B * tail and an exact bound E on |V - 2^B * tail|,
+    which grows by ceil(E_child / q) + 1 for each floor division by q = m^e,
+    since |floor(x/q) - y/q| <= |x - y|/q + 1.  Returns (B, {key: (V, E)}).
     """
     graph: dict = {}
     stack = list(keys)
@@ -812,27 +816,42 @@ def _descend(keys, n: int, d: int) -> dict:
             graph[node] = _edges(node)
             stack.extend(child for child, _ in graph[node])
     nodes = sorted((v for v in graph if _basis_weight(v)), key=_basis_weight, reverse=True)
-    target = Fraction(1, 10 ** (d + 6))
-    top = max((_seed_bound(v) for v in nodes), default=0)
-    start = 1
-    while top / 4**start > target:
-        start += 1
-    start = max(start, n + 1)
+    # the least start >= 1 with top / 4^start <= 10^-(d+6), i.e. 4^start >= r
+    top = max((_seed_bound(v) for v in nodes), default=Fraction(0))
+    r = -(-top.numerator * 10 ** (d + 6) // top.denominator)
+    start = max(1, n + 1, -(-(r - 1).bit_length() // 2))
     fan = max((len(graph[v]) for v in nodes), default=1)
-    with mp.workprec(_bits(d, (start + 4) * (len(nodes) + 2) * fan)):
-        vals = {v: ApproxReal(0, _mpf_upper(_seed_bound(v) / 4**start)) for v in nodes}
-        for m in range(start, n, -1):
-            vals[()] = _base(m)
-            for v in nodes:
-                acc = None
-                for child, e in graph[v]:
-                    t = vals[child].scale(Fraction(1, m**e))
-                    acc = t if acc is None else acc + t
-                vals[v] = vals[v] + acc
-        for key in keys:
-            if not _basis_weight(key):
-                vals[key] = _base(n)
-        return vals
+    B = _bits(d, (start + 4) * (len(nodes) + 2) * fan)
+    one = 1 << B
+    # nodes by position, the base () last; it is the only child of weight 0
+    index = {v: i for i, v in enumerate(nodes)}
+    index[()] = len(nodes)
+    rows = [[(index[c], e) for c, e in graph[v]] for v in nodes]
+    exps = {e for row in rows for _, e in row}
+    val = [0] * (len(nodes) + 1)
+    seeds = (_seed_bound(v) / 4**start for v in nodes)
+    err = [-(-(s.numerator << B) // s.denominator) for s in seeds] + [1]
+    binom = math.comb(2 * start, start)
+    for m in range(start, n, -1):
+        q = {e: m**e for e in exps}
+        val[-1] = one // binom
+        binom = binom * m // (4 * m - 2)  # C(2m - 2, m - 1)
+        for i, row in enumerate(rows):
+            x, y = val[i], err[i]
+            for j, e in row:
+                x += val[j] // q[e]
+                y += -(-err[j] // q[e]) + 1
+            val[i], err[i] = x, y
+    base = (one // binom, 1)
+    return B, {
+        key: (val[index[key]], err[index[key]]) if _basis_weight(key) else base for key in keys
+    }
+
+
+def _enclosure(B: int, x, e) -> ApproxReal:
+    """The ApproxReal for x * 2^-B with error bound e * 2^-B."""
+    with mp.workprec(B):
+        return ApproxReal.from_enclosure(Fraction(x, 1 << B), Fraction(e, 1 << B))
 
 
 def sigma_tail(a, n: int = 0, digits=None) -> ApproxReal:
@@ -848,7 +867,8 @@ def sigma_tail(a, n: int = 0, digits=None) -> ApproxReal:
     if n < 0:
         raise ValueError("need n >= 0")
     d = PRECISION.check(digits)
-    return _descend((a,), n, d)[a]
+    B, out = _descend((a,), n, d)
+    return _enclosure(B, *out[a])
 
 
 def zeta_sym_tail(c, n: int = 0, digits=None) -> ApproxReal:
@@ -867,7 +887,8 @@ def zeta_sym_tail(c, n: int = 0, digits=None) -> ApproxReal:
     if n < 0:
         raise ValueError("need n >= 0")
     d = PRECISION.check(digits)
-    return _descend((c,), n, d)[c]
+    B, out = _descend((c,), n, d)
+    return _enclosure(B, *out[c])
 
 
 def evaluate(lc: LinComb, n: int = 0, digits=None) -> ApproxReal:
@@ -886,13 +907,13 @@ def evaluate(lc: LinComb, n: int = 0, digits=None) -> ApproxReal:
         raise ValueError("need n >= 0")
     d = PRECISION.check(digits)
     keys = [b if isinstance(b, DualityClass) else check_composition(b) for b, _ in lc.items()]
-    vals = _descend(keys, n, d)
-    total = None
-    with mp.workprec(_bits(d, len(lc))):
-        for b, c in lc.items():
-            t = vals[b].scale(c)
-            total = t if total is None else total + t
-    return ApproxReal(0, 0) if total is None else total
+    B, out = _descend(keys, n, d)
+    x = e = Fraction(0)
+    for b, c in lc.items():
+        c = Fraction(c)
+        x += c * out[b][0]
+        e += abs(c) * out[b][1]
+    return _enclosure(B, x, e)
 
 
 # ---------------------------------------------------------------------------

@@ -614,3 +614,49 @@ def test_error_bounds_sound_under_refinement():
     ]
     for coarse, fine in pairs:
         assert abs(coarse.value - fine.value) <= coarse.abs_error
+
+
+admissible_comps = (
+    st.lists(st.integers(1, 7), min_size=1, max_size=5)
+    .map(lambda a: (max(a[0], 2),) + tuple(a[1:]))
+    .filter(lambda a: sum(a) <= 8)
+)
+
+
+@given(
+    admissible_comps,
+    st.sampled_from((0, 1, 3, 10)),
+    st.sampled_from((20, 40)),
+    st.integers(-9, 9),
+    st.integers(1, 7),
+)
+def test_tail_enclosures_sound_under_refinement(a, n, digits, c, q):
+    lc = LinComb({a: Fraction(c, q), DualityClass.of(a): 1, a[:-1]: -2})
+    for f in (
+        lambda d: num.sigma_tail(a, n, d),
+        lambda d: num.zeta_sym_tail(a, n, d),
+        lambda d: num.evaluate(lc, n, d),
+    ):
+        coarse, fine = f(digits), f(2 * digits)
+        assert abs(coarse.value - fine.value) <= coarse.abs_error, (a, n, digits)
+    s, oracle = num.sigma_tail(a, n, digits), num.sigma_oracle(a, n, 12)
+    assert abs(s.value - oracle.value) <= s.abs_error + oracle.abs_error
+
+
+def test_tail_accuracy_at_the_digit_cap():
+    cap = num.PRECISION.cap
+    for r in range(1, 8):
+        a = (2, 1, 3, 1, 2, 1, 1)[:r]
+        for n in (0, 10):
+            assert num.sigma_tail(a, n, cap).abs_error <= tol(cap), (a, n)
+    # the closure of (3,2,2,2,1) under init, mid and fin has 9 classes
+    a = (3, 2, 2, 2, 1)
+    closure, stack = set(), [DualityClass.of(a)]
+    while stack:
+        c = stack.pop()
+        if c.rep and c not in closure:
+            closure.add(c)
+            stack.extend(DualityClass.of(p) for p in (init_part(c.rep), mid_part(c.rep), fin_part(c.rep)))
+    assert weight(a) == 10 and len(closure) == 9
+    for n in (0, 10):
+        assert num.zeta_sym_tail(a, n, cap).abs_error <= tol(cap), n
