@@ -6,12 +6,14 @@ every modular result is then promoted to a statement over the rationals:
 * ``rank >= r`` rests on the modular eliminator's pivot count, which the
   property test comparing the blocked eliminator with a plain reference
   eliminator checks; no pivot minor is checked independently yet;
-* candidate kernel vectors are rebuilt over Q by incremental Chinese
-  remaindering and rational reconstruction in integer arithmetic, each
-  column is scaled by the lcm of its denominators, and ``M @ V == 0`` is
-  established exactly by checking it modulo fresh primes whose product
-  exceeds twice an explicit bound on the entries of ``M @ V``; the
-  ``n - r`` verified independent kernel vectors prove ``rank <= r``.
+* candidate kernel vectors are rebuilt over Q from one elimination modulo
+  a prime p: its residues are lifted p-adically (Dixon's method) through
+  the pivot block, and each p-adic approximation is tried by rational
+  reconstruction in integer arithmetic.  Each column is scaled by the lcm
+  of its denominators, and ``M @ V == 0`` is established exactly by
+  checking it modulo fresh primes whose product exceeds twice an explicit
+  bound on the entries of ``M @ V``; the ``n - r`` verified independent
+  kernel vectors prove ``rank <= r``.
 
 The kernel basis returned is a basis of the *saturated* integer lattice
 ``ker_Q(M) ∩ Z^n``: integrality of a rational combination of the reduced
@@ -93,8 +95,8 @@ def _primes_below(limit: int, count: int) -> tuple[int, ...]:
 #: Small enough that p^2 products accumulated over a <= 2^11-wide panel stay
 #: below 2^53, so the elimination runs on exact float64 matmuls (BLAS).
 PRIMES21 = _primes_below(1 << 21, 384)
-#: primes just below 2^20: verification products (int64 matmul cannot
-#: overflow: q^2 * n_cols < 2^63 for n_cols up to 2^22).
+#: primes just below 2^20: verification products, exact float64 matmuls over
+#: slices of up to 2^13 inner terms (q^2 * 2^13 < 2^53).
 PRIMES20 = _primes_below(1 << 20, 512)
 
 
@@ -146,9 +148,12 @@ def _mod_into(A: np.ndarray, p: float) -> np.ndarray:
 
 def _kernel_mod_p_fast(M: np.ndarray, p: int, block: int = 64):
     """Row-reduce M mod p (p < 2^21) by blocked Gauss-Jordan on exact
-    float64 arithmetic.  Returns (rank, pivot columns, X) where X is the
-    reduced-echelon block on the non-pivot (free) columns: the kernel vector
-    of free column f has 1 at that column and -X[i, f] at pivot column i.
+    float64 arithmetic.  Returns (rank, pivot columns, pivot rows, X) where
+    X is the reduced-echelon block on the non-pivot (free) columns: the
+    kernel vector of free column f has 1 at that column and -X[i, f] at
+    pivot column i.  The pivot rows are the rows of M, in pivot order, that
+    the row swaps brought to the top: M[rows][:, pivots] is invertible mod p
+    and X is its inverse times M[rows][:, free], mod p.
 
     Every value is an integer below 2^53, so float64 matmuls are exact and
     run on BLAS; entries stay lazily unreduced between reductions.  Pivot
@@ -160,6 +165,7 @@ def _kernel_mod_p_fast(M: np.ndarray, p: int, block: int = 64):
     W = np.asarray(M % p, dtype=np.float64)
     m, n = W.shape
     pivots: list[int] = []
+    perm = np.arange(m)
     X = np.empty((m, 0), dtype=np.float64)
     r = 0
     acc = 0  # panel applications since the trailing block was last reduced
@@ -182,6 +188,7 @@ def _kernel_mod_p_fast(M: np.ndarray, p: int, block: int = 64):
                 continue
             i0 = rr + int(nz[0])
             if i0 != rr:
+                perm[[rr, i0]] = perm[[i0, rr]]
                 W[[rr, i0]] = W[[i0, rr]]
                 buf[[rr, i0]] = buf[[i0, rr]]
                 F[[rr, i0]] = F[[i0, rr]]
@@ -241,17 +248,73 @@ def _kernel_mod_p_fast(M: np.ndarray, p: int, block: int = 64):
             add = _mod_into(buf[:, fr], pf)
             X = np.concatenate([X, add], axis=1) if X.shape[1] else add
     _mod_into(X, pf)
-    return r, tuple(pivots), X[:r].astype(np.int64)
+    return r, tuple(pivots), tuple(perm[:r].tolist()), X[:r].astype(np.int64)
 
 
-def _crt_extend(big: list[list[int]], mod: int, X: np.ndarray, p: int) -> int:
-    """Chinese-remainder the residues ``big`` mod ``mod`` with the residues X
-    mod a new prime p, in place; returns the combined modulus."""
-    minv = pow(mod % p, p - 2, p)
-    for row, xrow in zip(big, X.tolist()):
-        for j, a in enumerate(row):
-            row[j] = a + mod * ((xrow[j] - a) * minv % p)
-    return mod * p
+def _matmul_exact(A: np.ndarray, B: np.ndarray, amax: int, bmax: int) -> np.ndarray:
+    """A @ B exactly as int64, for integer arrays with |A| <= amax and
+    |B| <= bmax (amax * bmax < 2^53) whose product fits in int64.
+
+    The products run in float64 on BLAS, over slices of the inner dimension
+    short enough that every partial sum stays an integer below 2^53."""
+    Af, Bf = A.astype(np.float64), B.astype(np.float64)
+    step = ((1 << 53) - 1) // max(amax * bmax, 1)
+    k = A.shape[1]
+    if step >= k:
+        return (Af @ Bf).astype(np.int64)
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    for a in range(0, k, step):
+        out += (Af[:, a : a + step] @ Bf[a : a + step]).astype(np.int64)
+    return out
+
+
+_LIMB = 20
+
+
+def _mul_exact(A: np.ndarray, Y: np.ndarray, ymax: int) -> np.ndarray:
+    """A @ Y exactly, for an int64 matrix A and 0 <= Y <= ymax < 2^21: an
+    int64 array when |A| * ymax * inner < 2^53, else a Python-int object
+    array summed from the products of 20-bit limbs of A."""
+    amax = int(np.abs(A).max()) if A.size else 0
+    if amax * ymax * A.shape[1] < 1 << 53:
+        return _matmul_exact(A, Y, amax, ymax)
+    top = _LIMB * ((amax.bit_length() - 1) // _LIMB)
+    out = _matmul_exact(A >> top, Y, 1 << _LIMB, ymax).astype(object) << top
+    mask = (1 << _LIMB) - 1
+    for shift in range(0, top, _LIMB):
+        limb = (A >> shift) & mask
+        out += _matmul_exact(limb, Y, mask, ymax).astype(object) << shift
+    return out
+
+
+def _padic_solutions(Mr: np.ndarray, p: int, pivots, free, X: np.ndarray):
+    """Successive approximations (Y mod p^s as lists, p^s) of Y = A^-1 B, for
+    A and B the pivot and free columns of the integer matrix Mr (A invertible
+    mod p) and X = Y mod p: Dixon's p-adic lifting.
+
+    The first approximation is X itself; A^-1 mod p is computed only when a
+    second one is asked for.  The last is the first one with p^s > 2 H^2,
+    for H the Hadamard bound of Mr's rows, which bounds every numerator and
+    denominator of Y: from there rational reconstruction returns Y itself."""
+    yield X.tolist(), p
+    r = len(pivots)
+    sq = np.square(Mr.astype(np.float64)).sum(axis=1)
+    # one spare bit covers the float rounding of the bound
+    limit_bits = math.ceil(float(np.log2(sq).sum())) + 2
+    if p.bit_length() > limit_bits:
+        return
+    A, B = Mr[:, list(pivots)], Mr[:, free]
+    _, _, _, Ainv = _kernel_mod_p_fast(np.hstack([A, np.eye(r, dtype=np.int64)]), p)
+    big, mod, y = X.astype(object), p, X
+    # an int64 residual cannot wrap while |B| < 2^62, as int64 products of
+    # A stay below 2^53; wider B starts in Python ints
+    res = B if int(np.abs(B).max()) < 1 << 62 else B.astype(object)
+    while mod.bit_length() <= limit_bits:
+        res = (res - _mul_exact(A, y, p - 1)) // p
+        y = _matmul_exact(Ainv, (res % p).astype(np.int64), p - 1, p - 1) % p
+        big += y.astype(object) * mod
+        mod *= p
+        yield big.tolist(), mod
 
 
 def _ratrec_matrix(big: list[list[int]], mod: int) -> list[list[tuple[int, int]]] | None:
@@ -383,11 +446,15 @@ class KernelCertificate:
     """Exact rank and (optionally) a saturated integer kernel basis.
 
     ``rank <= r`` is proven: ``nullity`` independent kernel vectors are
-    verified exactly.  ``rank >= r`` is the modular eliminator's pivot count
-    at the primes in ``primes`` (a rank mod p never exceeds the rank over
+    verified exactly.  They come from one elimination modulo a prime p and
+    p-adic lifting of its residues.  ``rank >= r`` is the modular
+    eliminator's pivot count at p (a rank mod p never exceeds the rank over
     Q); that count is trusted, and checked only by the property test that
     compares the eliminator with a plain reference eliminator.  An
     independent check of the pivot minor is an open item in ROADMAP.md.
+    ``primes`` lists the prime at which the certifying elimination ran
+    (empty when no elimination was needed); a prime found unlucky before it,
+    whose rank falls short of the rank over Q, is not listed.
     ``basis`` rows span ker_Q(M) ∩ Z^{n_cols}."""
 
     n_rows: int
@@ -425,7 +492,7 @@ def _verify_product(M, mmax, P, L, pivots, free, chunk_rows=4096):
         if pivots:
             V[piv_idx, :] = np.array([[x % q for x in row] for row in P], dtype=np.int64)
         for a in range(0, m, chunk_rows):
-            C = (M[a : a + chunk_rows] % q) @ V
+            C = _matmul_exact(M[a : a + chunk_rows] % q, V, q - 1, q - 1)
             if np.any(C % q):
                 return False
     return True
@@ -450,37 +517,26 @@ def certified_kernel(
     if m == 0 or mmax == 0:
         basis = tuple(tuple(1 if j == f else 0 for j in range(n)) for f in range(n))
         return KernelCertificate(m, n, 0, basis if need_basis else None, ())
-    rank, pivots = 0, ()
-    S: list[int] = []  # the primes agreeing with the best (rank, pivots) so far
-    big: list[list[int]] = []  # their residues of X, combined modulo mod
-    mod = 1
     for p in PRIMES21[:max_primes]:
-        r, piv, X = _kernel_mod_p_fast(M, p)
-        if S and (r, piv) != (rank, pivots):
-            if r < rank or (r == rank and piv > pivots):
-                # unlucky prime: the agreeing primes, and so their failure
-                # to reconstruct or verify, are those of the last attempt
-                continue
-            S = []  # a higher rank or earlier pivots: start again from p
-        if S:
-            mod = _crt_extend(big, mod, X, p)
-        else:
-            rank, pivots, big, mod = r, piv, X.tolist(), p
-        S.append(p)
+        rank, pivots, rows, X = _kernel_mod_p_fast(M, p)
         t = n - rank
         if t == 0:
-            return KernelCertificate(m, n, rank, () if need_basis else None, tuple(S))
-        F = _ratrec_matrix(big, mod)
-        if F is None:
-            continue
+            return KernelCertificate(m, n, rank, () if need_basis else None, (p,))
         pivset = set(pivots)
         free = [c for c in range(n) if c not in pivset]
-        L = [lcm(*(row[f][1] for row in F)) for f in range(t)]
-        P = [[-num * (L[f] // den) for f, (num, den) in enumerate(row)] for row in F]
-        if not _verify_product(M, mmax, P, L, pivots, free, chunk_rows):
-            continue
-        basis = _saturate(F, pivots, free, n) if need_basis else None
-        return KernelCertificate(m, n, rank, basis, tuple(S))
+        Mr = M[list(rows)]
+        for big, mod in _padic_solutions(Mr, p, pivots, free, X):
+            F = _ratrec_matrix(big, mod)
+            if F is None:
+                continue
+            L = [lcm(*(row[f][1] for row in F)) for f in range(t)]
+            P = [[-num * (L[f] // den) for f, (num, den) in enumerate(row)] for row in F]
+            if _verify_product(M, mmax, P, L, pivots, free, chunk_rows):
+                basis = _saturate(F, pivots, free, n) if need_basis else None
+                return KernelCertificate(m, n, rank, basis, (p,))
+            if _verify_product(Mr, mmax, P, L, pivots, free, chunk_rows):
+                break  # A Y = B exactly, so the pivot rows miss part of M's row space
+        # p is unlucky: M has a larger rank over Q than modulo p
     raise ReconstructionError(f"no certificate after {max_primes} primes")
 
 
@@ -720,6 +776,17 @@ def kernel_of_alpha(k: int, *, need_basis: bool = True) -> KernelCertificate:
     return got
 
 
+def _checked_product(C: np.ndarray, A: np.ndarray, k: int) -> np.ndarray:
+    """C @ A in int64 for the weight-k preimage matrix, after a float64 bound
+    |C| @ |A| shows that no entry can wrap around."""
+    bound = (np.abs(C).astype(np.float64) @ np.abs(A).astype(np.float64)).max(initial=0.0)
+    if bound >= 2.0**62:
+        raise ReconstructionError(
+            f"preimage_lattice({k}): a check-matrix product may exceed int64 (bound 2^{math.log2(bound):.1f})"
+        )
+    return C @ A
+
+
 def preimage_lattice(k: int) -> KernelCertificate:
     """The lattice of weight-k class combinations whose alpha image lies,
     weight by weight, in the Q-span of the lower-weight delta kernels.
@@ -743,5 +810,5 @@ def preimage_lattice(k: int) -> KernelCertificate:
         else:
             check = certified_kernel(np.asarray(cert.basis, dtype=np.int64)).basis
             C = np.asarray(check, dtype=np.int64)
-            blocks.append(C @ A_kp)
+            blocks.append(_checked_product(C, A_kp, k))
     return certified_kernel(np.vstack(blocks))

@@ -9,12 +9,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from zetasigma import exact_linalg
 from zetasigma.compositions import DualityClass, enumerate_compositions
 from zetasigma.delta import delta_class
 from zetasigma.exact_linalg import (
     PRIMES21,
     KernelCertificate,
+    ReconstructionError,
+    _checked_product,
     _kernel_mod_p_fast,
+    _matmul_exact,
+    _mul_exact,
     alpha_matrix,
     certified_kernel,
     class_row_basis,
@@ -40,6 +45,13 @@ def int_matrices(draw):
     return [
         [draw(st.integers(-9, 9)) for _ in range(n)] for _ in range(m)
     ]
+
+
+def _cleared(v):
+    den = 1
+    for x in v:
+        den = den * x.denominator // gcd(den, x.denominator)
+    return [int(x * den) for x in v]
 
 
 def test_certified_kernel_example():
@@ -69,11 +81,7 @@ def test_certified_kernel_matches_fractions(rows):
             assert sum(r * x for r, x in zip(row, v)) == 0
     # the fraction kernel, cleared of denominators, lies in the lattice
     for fv in fraction_kernel(rows):
-        den = 1
-        for x in fv:
-            den = den * x.denominator // __import__("math").gcd(den, x.denominator)
-        iv = [int(x * den) for x in fv]
-        assert lattice_contains(cert.basis, iv)
+        assert lattice_contains(cert.basis, _cleared(fv))
 
 
 def _minors_gcd(basis, n):
@@ -106,18 +114,93 @@ def test_certified_kernel_basis_is_saturated(rows):
 
 
 def test_certified_kernel_unlucky_primes():
-    p0, p1, p2, p3 = PRIMES21[:4]
-    # p0 hides the first pivot: the pivots switch at p1 and CRT restarts
+    p0, p1, p2 = PRIMES21[:3]
+    # p0 hides the first pivot, but the rank is right: lifting through the
+    # other pivot recovers the entry p0, so p0 alone certifies
     switch = certified_kernel([[p0, 0, 1]])
-    assert switch.rank == 1 and switch.primes == (p1, p2, p3)
+    assert switch.rank == 1 and switch.primes == (p0,)
     assert lattices_equal(switch.basis, ((1, 0, -p0), (0, 1, 0)))
-    # p2 is unlucky after two agreeing primes: it is skipped, and p3 extends
+    # the reduced kernel entry 1/p2 needs lifting past p0 as well
     skip = certified_kernel([[p2, 0, 1]])
-    assert skip.rank == 1 and skip.primes == (p0, p1, p3)
+    assert skip.rank == 1 and skip.primes == (p0,)
     assert lattices_equal(skip.basis, ((1, 0, -p2), (0, 1, 0)))
-    # p0 drops the rank; p1 shows full rank and needs no reconstruction
+    # p0 drops the rank: the exact solution through its pivot row fails the
+    # other row, so p0 is unlucky; p1 shows full rank and needs no lifting
     full = certified_kernel([[p0, 1], [0, p0]])
     assert full.rank == 2 and full.primes == (p1,) and full.basis == ()
+
+
+@st.composite
+def big_entry_matrices(draw):
+    # a few rows with entries up to 2^40, plus small combinations of them,
+    # so that kernels exist and their entries need several lifting steps
+    n = draw(st.integers(2, 5))
+    base = draw(
+        st.lists(
+            st.lists(st.integers(-(1 << 40), 1 << 40), min_size=n, max_size=n),
+            min_size=1,
+            max_size=n - 1,
+        )
+    )
+    combos = draw(st.lists(st.lists(st.integers(-3, 3), min_size=len(base), max_size=len(base)), max_size=2))
+    return base + [[sum(c * row[j] for c, row in zip(cs, base)) for j in range(n)] for cs in combos]
+
+
+LIFTED = [[(1 << 40) + 15, (1 << 40) - 33, 7], [3, (1 << 40) + 1, -((1 << 40) - 5)]]
+
+
+@given(big_entry_matrices())
+@example(LIFTED)
+@example([[3, -((1 << 63) - 1)]])  # the first residual leaves int64
+def test_certified_kernel_lifts_large_entries(rows):
+    cert = certified_kernel(rows)
+    n = len(rows[0])
+    assert cert.rank == rank_fraction(rows)
+    assert len(cert.basis) == cert.nullity
+    for v in cert.basis:
+        assert all(sum(r * x for r, x in zip(row, v)) == 0 for row in rows)
+    if cert.basis:
+        assert _minors_gcd(cert.basis, n) == 1
+    assert lattices_equal(cert.basis, [_cleared(v) for v in fraction_kernel(rows)])
+
+
+def test_certified_kernel_lifting_steps(monkeypatch):
+    # the kernel of LIFTED has entries near 2^80: one prime of 21 bits
+    # reconstructs no such fraction, and lifting needs at least 3 more steps
+    moduli = []
+    solutions = exact_linalg._padic_solutions
+
+    def spy(*args):
+        for big, mod in solutions(*args):
+            moduli.append(mod)
+            yield big, mod
+
+    monkeypatch.setattr(exact_linalg, "_padic_solutions", spy)
+    cert = certified_kernel(LIFTED)
+    assert cert.primes == (PRIMES21[0],) and cert.nullity == 1
+    assert len(moduli) >= 4 and moduli[-1] == PRIMES21[0] ** len(moduli)
+    assert lattices_equal(cert.basis, [_cleared(v) for v in fraction_kernel(LIFTED)])
+
+
+def test_exact_products():
+    rng = np.random.default_rng(7)
+    # entries of 26 bits: every slice of the inner dimension holds one term
+    A = rng.integers(-(1 << 26), 1 << 26, size=(4, 5))
+    B = rng.integers(-(1 << 26), 1 << 26, size=(5, 3))
+    assert np.array_equal(_matmul_exact(A, B, 1 << 26, 1 << 26), A.astype(object) @ B.astype(object))
+    # 62-bit entries take the limb path, whose result no int64 holds
+    p = PRIMES21[0]
+    A = rng.integers(-(1 << 62), 1 << 62, size=(3, 6))
+    Y = rng.integers(0, p, size=(6, 2))
+    assert (_mul_exact(A, Y, p - 1) == A.astype(object) @ Y.astype(object)).all()
+
+
+def test_preimage_product_guard():
+    C = np.full((2, 3), 1 << 40, dtype=np.int64)
+    with pytest.raises(ReconstructionError, match=r"preimage_lattice\(13\)"):
+        _checked_product(C, np.full((3, 2), 1 << 30, dtype=np.int64), 13)
+    small = np.full((3, 2), 1 << 20, dtype=np.int64)
+    assert np.array_equal(_checked_product(C, small, 13), np.full((2, 2), 3 << 60))
 
 
 def test_certified_kernel_first_pivot_needs_row_swap():
@@ -196,10 +279,13 @@ def test_fast_elimination_matches_reference(n_cols, data):
     # the blocked float64 eliminator promises the reference's exact output
     M = data.draw(sparse_matrices_with_repeats(n_cols))
     p = data.draw(st.sampled_from([3, 101, PRIMES21[0]]))
-    r, pivots, X = _kernel_mod_p_fast(M, p)
+    r, pivots, rows, X = _kernel_mod_p_fast(M, p)
     r_ref, pivots_ref, X_ref = _kernel_mod_p_int(M, p)
     assert (r, pivots) == (r_ref, pivots_ref)
     assert np.array_equal(X % p, X_ref % p)
+    # the pivot rows carry the rank: their pivot block is invertible mod p
+    assert len(set(rows)) == r
+    assert _kernel_mod_p_int(M[list(rows)][:, list(pivots)], p)[0] == r
 
 
 # ------------------------------------------------------- fraction toolkit
