@@ -33,12 +33,12 @@ from .compositions import (
     parse_composition,
 )
 from .delta import (
+    _even_alternating_rhs,
     delta_class,
     delta_explicit,
     delta_inductive,
     delta_submatrix,
     family_all_twos,
-    family_even_alternating,
     family_leshchiner,
     family_selfdual_t4,
     family_t_family,
@@ -396,7 +396,7 @@ def _id_bbb(d: int, params: dict) -> list:
         raise ValueError("bbb: k must be even, 2..12")
     di = d + 8
     lhs = num.zeta_int(k, di)
-    rhs = num.evaluate(-family_even_alternating(k)[1], 0, di)
+    rhs = num.evaluate(-_even_alternating_rhs(k), 0, di)
     return [_nc(f"zeta({k}) == alternating even-composition sum", lhs, rhs, d)]
 
 

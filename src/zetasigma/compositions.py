@@ -97,6 +97,11 @@ def from_word(w: Word) -> Composition:
         raise ValueError(f"word bits must be 0/1: {w!r}")
     if len(w) and w[-1] != 1:
         raise ValueError(f"word ends in 0, not in the image of any composition: {w!r}")
+    return _from_word(w)
+
+
+def _from_word(w: Word) -> Composition:
+    """:func:`from_word` on a word already known to be 0/1 and to end in 1."""
     out: list[int] = []
     run = 0
     for b in w:

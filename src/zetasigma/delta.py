@@ -42,11 +42,10 @@ from .compositions import (
     reverse_complement,
     self_dual_class_by_index,
     to_word,
-    from_word,
-    weight,
+    _from_word,
 )
-from .lincomb import LinComb, Poly, T, alpha, class_projection, mu_invert
-from .stuffle import boxast
+from .lincomb import LinComb, Poly, T, _acc, _mu_invert, alpha, class_projection
+from .stuffle import _boxast
 
 _MEMO: dict = {}
 
@@ -60,7 +59,7 @@ def delta_class(c: DualityClass) -> LinComb:
         val = LinComb.single(())
     else:
         target = alpha(LinComb.single(c)).map_basis(delta_class)
-        val = mu_invert(target, c.weight)
+        val = _mu_invert(target, c.weight)
     _MEMO[c] = val
     return val
 
@@ -82,14 +81,15 @@ def delta_from_word(a: Composition) -> LinComb:
     if len(a) == 0:
         return LinComb.single(())
     w = to_word(a)
-    k = len(w)
-    out = LinComb()
-    for i in range(1, k):
+    d: dict = {}
+    for i in range(1, len(w)):
         coeff = 1 + (1 - w[i - 1]) + w[i]
-        left = from_word(reverse_complement(w[:i]))
-        right = from_word(w[i:])
-        out = out + boxast(left, right).scale(coeff)
-    return out
+        # w starts with 0 and ends with 1 (a is admissible and nonempty), so
+        # both halves are nonempty words ending in 1.
+        left = _from_word(reverse_complement(w[:i]))
+        right = _from_word(w[i:])
+        _acc(d, _boxast(left, right), coeff)
+    return LinComb._wrap(d)
 
 
 def delta_explicit(c: DualityClass) -> LinComb:
@@ -162,11 +162,12 @@ def family_even_alternating(k: int):
     lhs = class_projection(
         LinComb((a, (-1) ** len(a)) for a in enumerate_compositions(k, "admissible"))
     )
-    rhs = LinComb(
-        (b, (-3) ** len(b))
-        for b in enumerate_compositions(k, "even_entries")
-    )
-    return lhs, rhs
+    return lhs, _even_alternating_rhs(k)
+
+
+def _even_alternating_rhs(k: int) -> LinComb:
+    """Right side of :func:`family_even_alternating`, without its left side."""
+    return LinComb((b, (-3) ** len(b)) for b in enumerate_compositions(k, "even_entries"))
 
 
 def family_all_twos(m: int):

@@ -709,9 +709,14 @@ def matrix_from_columns(columns, row_basis) -> np.ndarray:
     index = {b: i for i, b in enumerate(row_basis)}
     A = np.zeros((len(index), len(columns)), dtype=np.int64)
     for j, lc in enumerate(columns):
-        for b, c in lc.items():
-            A[index[b], j] = int(c)
+        _fill_column(A, j, index, lc)
     return A
+
+
+def _fill_column(A: np.ndarray, j: int, index: dict, lc) -> None:
+    """Write the coefficients of ``lc`` into column j of A at the rows
+    ``index`` gives its basis elements, in one assignment."""
+    A[[index[b] for b, _ in lc.items()], j] = [int(c) for _, c in lc.items()]
 
 
 def delta_matrix(k: int) -> np.ndarray:
@@ -724,9 +729,7 @@ def delta_matrix(k: int) -> np.ndarray:
     A = np.zeros((len(comps), len(classes)), dtype=np.int64)
     explicit = k >= 14
     for j, cls in enumerate(classes):
-        img = delta_explicit(cls) if explicit else delta_class(cls)
-        for a, c in img.items():
-            A[index[a], j] = int(c)
+        _fill_column(A, j, index, delta_explicit(cls) if explicit else delta_class(cls))
         if explicit and (j & 255) == 255:
             _stuffle_fn.cache_clear()
     if explicit:

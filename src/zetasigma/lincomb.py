@@ -169,22 +169,42 @@ def _basis_str(b) -> str:
     return "(" + format_composition(b) + ")" if len(b) else "()"
 
 
+def _acc(d: dict, terms, c) -> None:
+    """Add ``c`` times the ``(basis, coeff)`` pairs ``terms`` into ``d`` in
+    place, dropping every coefficient that cancels to 0."""
+    get = d.get
+    for b, v in terms:
+        s = get(b, 0) + c * v
+        if s == 0:
+            d.pop(b, None)
+        else:
+            d[b] = s
+
+
 class LinComb:
-    """Immutable finitely supported coefficient map; zero terms are purged."""
+    """Immutable finitely supported coefficient map; zero terms are purged.
+
+    No stored coefficient is ever 0.  Every builder, the constructor
+    included, fills one dict through :func:`_acc`, which merges repeated
+    basis elements and drops what cancels.  Internal builders hand that dict
+    to :meth:`_wrap`, which takes ownership without copying or re-checking
+    it: the dict must be fresh (held by no one else), hold no zero
+    coefficient, and never be mutated afterwards.
+    """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=()):
         d = {}
-        items = terms.items() if hasattr(terms, "items") else terms
-        for b, c in items:
-            if b in d:
-                c = d[b] + c
-            if c == 0:
-                d.pop(b, None)
-            else:
-                d[b] = c
+        _acc(d, terms.items() if hasattr(terms, "items") else terms, 1)
         object.__setattr__(self, "_terms", d)
+
+    @classmethod
+    def _wrap(cls, d: dict) -> "LinComb":
+        """A LinComb that owns ``d`` (fresh, zero-free, never mutated after)."""
+        lc = object.__new__(cls)
+        object.__setattr__(lc, "_terms", d)
+        return lc
 
     @staticmethod
     def zero() -> "LinComb":
@@ -192,7 +212,7 @@ class LinComb:
 
     @staticmethod
     def single(b, c=1) -> "LinComb":
-        return LinComb(((b, c),))
+        return LinComb._wrap({} if c == 0 else {b: c})
 
     def items(self):
         return self._terms.items()
@@ -212,21 +232,19 @@ class LinComb:
 
     def __add__(self, other: "LinComb") -> "LinComb":
         d = dict(self._terms)
-        for b, c in other._terms.items():
-            s = d.get(b, 0) + c
-            if s == 0:
-                d.pop(b, None)
-            else:
-                d[b] = s
-        return LinComb(d)
+        _acc(d, other._terms.items(), 1)
+        return LinComb._wrap(d)
 
     def __sub__(self, other: "LinComb") -> "LinComb":
-        return self + other.scale(-1)
+        d = dict(self._terms)
+        _acc(d, other._terms.items(), -1)
+        return LinComb._wrap(d)
 
     def scale(self, c) -> "LinComb":
-        if c == 0:
-            return LinComb()
-        return LinComb({b: c * v for b, v in self._terms.items()})
+        d = {}
+        if c != 0:
+            _acc(d, self._terms.items(), c)
+        return LinComb._wrap(d)
 
     def __rmul__(self, c) -> "LinComb":
         return self.scale(c)
@@ -236,20 +254,20 @@ class LinComb:
 
     def map_basis(self, f) -> "LinComb":
         """Linear extension of a basis-element map ``f: b -> LinComb``."""
-        out = LinComb()
+        d = {}
         for b, c in self._terms.items():
-            out = out + f(b).scale(c)
-        return out
+            _acc(d, f(b)._terms.items(), c)
+        return LinComb._wrap(d)
 
     def grade_split(self) -> dict:
         """Split into homogeneous parts, keyed by weight."""
         parts: dict = {}
         for b, c in self._terms.items():
             parts.setdefault(_basis_weight(b), []).append((b, c))
-        return {k: LinComb(v) for k, v in sorted(parts.items())}
+        return {k: LinComb._wrap(dict(v)) for k, v in sorted(parts.items())}
 
     def homogeneous_part(self, k: int) -> "LinComb":
-        return LinComb({b: c for b, c in self._terms.items() if _basis_weight(b) == k})
+        return LinComb._wrap({b: c for b, c in self._terms.items() if _basis_weight(b) == k})
 
     def is_homogeneous(self, k: int) -> bool:
         return all(_basis_weight(b) == k for b in self._terms)
@@ -333,15 +351,18 @@ def mu_invert(target: LinComb, k: int) -> LinComb:
     """
     if k < 2:
         raise ValueError("mu is bijective only for weight k >= 2")
-    terms = []
-    for b, c in target.items():
+    for b in target._terms:
         if not isinstance(b, tuple) or not is_admissible(b):
             raise ValueError(f"mu_invert needs admissible composition targets: {b!r}")
-        gap = k - weight(b)
-        if gap < 1:
+        if weight(b) >= k:
             raise ValueError(f"target {b!r} has weight >= {k}; not in the image of mu_k")
-        terms.append((tuple(b) + (gap,), c))
-    return LinComb(terms)
+    return _mu_invert(target, k)
+
+
+def _mu_invert(target: LinComb, k: int) -> LinComb:
+    """:func:`mu_invert` on a target already known to be admissible
+    compositions of weight < k."""
+    return LinComb._wrap({b + (k - sum(b),): c for b, c in target._terms.items()})
 
 
 def alpha(lc: LinComb) -> LinComb:

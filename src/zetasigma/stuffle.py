@@ -24,35 +24,52 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .compositions import Composition, check_composition
-from .lincomb import LinComb
+from .lincomb import LinComb, _acc
 
 
-def _prepend(e: int, lc: LinComb) -> LinComb:
-    return LinComb(((e,) + c, v) for c, v in lc.items())
+def _prepend(e: int, lc: LinComb):
+    """The terms of ``lc`` with the entry ``e`` put in front of each basis
+    composition (injective, so no two terms collide)."""
+    return (((e,) + c, v) for c, v in lc.items())
+
+
+def stuffle(a: Composition, b: Composition) -> LinComb:
+    """Stuffle product of two compositions as an integer combination."""
+    return _stuffle(check_composition(a), check_composition(b))
 
 
 @lru_cache(maxsize=None)
-def stuffle(a: Composition, b: Composition) -> LinComb:
-    """Stuffle product of two compositions as an integer combination."""
-    a = check_composition(a)
-    b = check_composition(b)
+def _stuffle(a: Composition, b: Composition) -> LinComb:
+    """:func:`stuffle` on checked compositions, memoized."""
     if not a:
         return LinComb.single(b)
     if not b:
         return LinComb.single(a)
-    out = _prepend(a[0], stuffle(a[1:], b))
-    out = out + _prepend(b[0], stuffle(a, b[1:]))
-    out = out + _prepend(a[0] + b[0], stuffle(a[1:], b[1:]))
-    return out
+    d: dict = {}
+    _acc(d, _prepend(a[0], _stuffle(a[1:], b)), 1)
+    _acc(d, _prepend(b[0], _stuffle(a, b[1:])), 1)
+    _acc(d, _prepend(a[0] + b[0], _stuffle(a[1:], b[1:])), 1)
+    return LinComb._wrap(d)
+
+
+stuffle.cache_clear = _stuffle.cache_clear
+stuffle.cache_info = _stuffle.cache_info
+
+
+def _check_support(x: LinComb) -> None:
+    for a, _ in x.items():
+        check_composition(a)
 
 
 def stuffle_lincombs(x: LinComb, y: LinComb) -> LinComb:
     """Bilinear extension of :func:`stuffle`."""
-    out = LinComb()
+    _check_support(x)
+    _check_support(y)
+    d: dict = {}
     for a, ca in x.items():
         for b, cb in y.items():
-            out = out + stuffle(a, b).scale(ca * cb)
-    return out
+            _acc(d, _stuffle(a, b).items(), ca * cb)
+    return LinComb._wrap(d)
 
 
 def boxast(a: Composition, b: Composition) -> LinComb:
@@ -63,22 +80,25 @@ def boxast(a: Composition, b: Composition) -> LinComb:
     >>> str(boxast((1,), (1,)))
     '(2)'
     """
-    a = check_composition(a)
-    b = check_composition(b)
-    if not a and not b:
-        return LinComb.single(())
+    return LinComb._wrap(dict(_boxast(check_composition(a), check_composition(b))))
+
+
+def _boxast(a: Composition, b: Composition):
+    """The terms of :func:`boxast` on checked compositions."""
     if not a or not b:
-        return LinComb.zero()
-    return _prepend(a[0] + b[0], stuffle(a[1:], b[1:]))
+        return () if a or b else (((), 1),)
+    return _prepend(a[0] + b[0], _stuffle(a[1:], b[1:]))
 
 
 def boxast_lincombs(x: LinComb, y: LinComb) -> LinComb:
     """Bilinear extension of :func:`boxast`."""
-    out = LinComb()
+    _check_support(x)
+    _check_support(y)
+    d: dict = {}
     for a, ca in x.items():
         for b, cb in y.items():
-            out = out + boxast(a, b).scale(ca * cb)
-    return out
+            _acc(d, _boxast(a, b), ca * cb)
+    return LinComb._wrap(d)
 
 
 def phi_composition(p: int, q: int, a: Composition) -> Fraction:

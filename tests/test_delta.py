@@ -76,8 +76,8 @@ def test_depth_one_closed_form():
 
 
 def test_explicit_equals_inductive_small():
-    # exhaustive up to weight 9 here; the acceptance suite pushes to 12
-    for k in range(0, 10):
+    # exhaustive up to weight 11 here; the acceptance suite pushes to 12
+    for k in range(0, 12):
         for c in enumerate_compositions(k, "classes"):
             assert delta_explicit(c) == delta_class(c), c
 

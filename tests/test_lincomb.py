@@ -85,6 +85,49 @@ def test_map_basis_is_linear(x):
     assert image == manual
 
 
+_RINGS = {
+    "int": st.integers(-3, 3),
+    "Fraction": st.fractions(-2, 2, max_denominator=3),
+    "Poly": st.lists(st.integers(-2, 2), max_size=3).map(lambda c: Poly(tuple(c))),
+}
+# few basis elements, so that terms of different summands and images collide
+_FEW_COMPS = st.sampled_from([(), (1,), (2,), (1, 1), (3,), (2, 1)])
+
+
+def _dict_sum(*scaled):
+    """sum of c * terms over the (c, terms) pairs, as a plain dict without
+    zero values: the reference for the accumulate path."""
+    out = {}
+    for c, terms in scaled:
+        for b, v in terms.items():
+            out[b] = out.get(b, 0) + c * v
+    return {b: v for b, v in out.items() if v != 0}
+
+
+@given(st.sampled_from(sorted(_RINGS)), st.data())
+def test_accumulate_path_matches_dict_reference(ring, data):
+    coeff = _RINGS[ring]
+    terms = st.dictionaries(_FEW_COMPS, coeff, max_size=5)
+    x, y, c = data.draw(terms), data.draw(terms), data.draw(coeff)
+    images = {b: data.draw(terms) for b in x}
+    lx, ly = LinComb(x), LinComb(y)
+    cases = {
+        "add": (lx + ly, _dict_sum((1, x), (1, y))),
+        "sub": (lx - ly, _dict_sum((1, x), (-1, y))),
+        "scale": (lx.scale(c), _dict_sum((c, x))),
+        "map_basis": (
+            lx.map_basis(lambda b: LinComb(images[b])),
+            _dict_sum(*((v, images[b]) for b, v in x.items())),
+        ),
+    }
+    for name, (got, want) in cases.items():
+        assert dict(got.items()) == want, name
+        assert all(v != 0 for _, v in got.items()), name
+        assert got == LinComb(want) and hash(got) == hash(LinComb(want)), name
+    assert hash(lx + ly) == hash(ly + lx)
+    assert (lx - ly) + ly == lx and hash((lx - ly) + ly) == hash(lx)
+
+
 def test_grading():
     x = LinComb(((((2,)), 1), ((3,), 2), ((2, 1), 5)))
     parts = x.grade_split()
@@ -146,6 +189,23 @@ def test_alpha_frozen_values():
 def test_alpha_rejects_empty_class():
     with pytest.raises(ValueError):
         alpha(LinComb.single(DualityClass(())))
+
+
+def test_alpha_rejects_non_class_basis():
+    with pytest.raises(ValueError):
+        alpha(LinComb.single((3, 2)))
+    with pytest.raises(ValueError):
+        alpha(LinComb.single(DualityClass.of((2,))) + LinComb.single((2,)))
+
+
+def test_mu_invert_rejects_targets_outside_the_image():
+    with pytest.raises(ValueError):
+        mu_invert(LinComb.single((1, 2)), 5)  # inadmissible
+    with pytest.raises(ValueError):
+        mu_invert(LinComb.single(DualityClass.of((2,))), 5)  # not a composition
+    for b in ((3,), (4,), (2, 1)):  # weight >= k
+        with pytest.raises(ValueError):
+            mu_invert(LinComb.single((2,)) + LinComb.single(b), 3)
 
 
 def test_mu_drops_last_entry():

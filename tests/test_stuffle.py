@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from zetasigma.compositions import weight
@@ -105,6 +106,22 @@ def test_boxast_lincombs_bilinear():
     got = boxast_lincombs(x, y)
     want = boxast((2,), (2, 1)).scale(2) + boxast((3,), (2, 1))
     assert got == want
+
+
+def test_products_reject_non_positive_entries():
+    good = LinComb.single((2, 1))
+    for bad in ((0,), (2, 0), (3, -1)):
+        for call in (
+            lambda: stuffle(bad, (1,)),
+            lambda: stuffle((1,), bad),
+            lambda: boxast(bad, (2,)),
+            lambda: boxast((2,), bad),
+            lambda: boxast_lincombs(LinComb.single(bad), good),
+            lambda: boxast_lincombs(good, LinComb.single(bad)),
+            lambda: stuffle_lincombs(good, LinComb.single(bad)),
+        ):
+            with pytest.raises(ValueError):
+                call()
 
 
 # ---------------------------------------------------------------- phi
