@@ -8,8 +8,9 @@ The package has three layers:
   ``alpha`` / ``mu`` and the contraction ``delta`` with both a defining
   recursion and a word-splitting formula, plus closed-form families;
 * **exact linear algebra** — certified integer kernel/rank computations
-  (modular consensus + rational reconstruction + exact verification +
-  saturation) for the ``alpha`` and ``delta`` matrices;
+  (one elimination modulo a prime, Dixon p-adic lifting, rational
+  reconstruction, exact verification and saturation) for the ``alpha``
+  and ``delta`` matrices;
 * **numerics** — validated arbitrary-precision evaluation of the
   central-binomial sums ``sigma`` and symmetric zeta tails, independent
   oracles, closed-form constant vectors, and integer-entry reductions.

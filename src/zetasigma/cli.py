@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from fractions import Fraction
 
 from mpmath import mp
 
@@ -32,18 +30,10 @@ from .compositions import (
     format_composition,
     parse_composition,
 )
-from .delta import (
-    _even_alternating_rhs,
-    delta_class,
-    delta_explicit,
-    delta_inductive,
-    delta_submatrix,
-    family_all_twos,
-    family_leshchiner,
-    family_selfdual_t4,
-    family_t_family,
-)
+from .delta import delta_class, delta_explicit, delta_submatrix
 from .exact_linalg import kernel_of_alpha, kernel_of_delta
+from . import identities
+from .identities import IDENTITIES
 from .lincomb import LinComb, Poly
 from . import numerics as num
 
@@ -227,278 +217,9 @@ def _cmd_eval(args) -> int:
     _emit(args.format, payload, text, csv)
     return 0
 
-
 # ---------------------------------------------------------------------------
-# verify: the identity registry
+# verify
 # ---------------------------------------------------------------------------
-
-
-def _nc(name: str, lhs, rhs, digits: int) -> dict:
-    """Numeric check: |lhs - rhs| (with enclosure widths) against 10^-digits."""
-    res = num.residual_upper(lhs, rhs)
-    tol = mp.mpf(10) ** (-digits)
-    return {
-        "name": name,
-        "kind": "numeric",
-        "residual": mp.nstr(res, 3),
-        "tolerance": mp.nstr(tol, 3),
-        "passed": bool(res <= tol),
-    }
-
-
-def _ec(name: str, ok: bool) -> dict:
-    return {"name": name, "kind": "exact", "passed": bool(ok)}
-
-
-def _no_params(params: dict, allowed=()) -> None:
-    bad = sorted(set(params) - set(allowed))
-    if bad:
-        raise ValueError(f"unknown --params keys: {', '.join(bad)}")
-
-
-def _id_euler(d: int, params: dict) -> list:
-    _no_params(params)
-    di = d + 8
-    lhs = num.zeta_int(2, di)
-    rhs = num.sigma_tail((2,), 0, di).scale(3)
-    return [_nc("zeta(2) == 3*sigma(2)", lhs, rhs, d)]
-
-
-def _id_zeta3(d: int, params: dict) -> list:
-    _no_params(params)
-    di = d + 8
-    lhs = num.zeta_int(3, di)
-    rhs = num.evaluate(LinComb({(3,): 2, (2, 1): 3}), 0, di)
-    return [_nc("zeta(3) == 2*sigma(3) + 3*sigma(2,1)", lhs, rhs, d)]
-
-
-def _id_weight4(d: int, params: dict) -> list:
-    _no_params(params)
-    di = d + 8
-    p4 = num.pi(di).pow_int(4)
-    return [
-        _nc(
-            "sigma(4) == 17*pi^4/3240",
-            num.sigma_tail((4,), 0, di),
-            p4.scale(Fraction(17, 3240)),
-            d,
-        ),
-        _nc(
-            "sigma(2,2) == pi^4/1944",
-            num.sigma_tail((2, 2), 0, di),
-            p4.scale(Fraction(1, 1944)),
-            d,
-        ),
-        _nc(
-            "2*sigma(3,1) + 3*sigma(2,1,1) == pi^4/1620",
-            num.evaluate(LinComb({(3, 1): 2, (2, 1, 1): 3}), 0, di),
-            p4.scale(Fraction(1, 1620)),
-            d,
-        ),
-    ]
-
-
-_EU87_FIRST = LinComb(
-    {(4, 1): 1, (3, 2): 6, (3, 1, 1): 4, (2, 3): 6, (2, 2, 1): 9, (2, 1, 2): 9, (2, 1, 1, 1): 6}
-)
-_EU87_SECOND = LinComb(
-    {(4, 1): 11, (3, 2): 10, (3, 1, 1): 30, (2, 2, 1): 21, (2, 1, 2): 15, (2, 1, 1, 1): 45}
-)
-
-
-def _id_eu87(d: int, params: dict) -> list:
-    _no_params(params)
-    di = d + 8
-    s5 = num.sigma_tail((5,), 0, di)
-    return [
-        _nc("sigma(5), depth-mixed expansion", s5, num.evaluate(_EU87_FIRST, 0, di), d),
-        _nc("sigma(5), second expansion", s5, num.evaluate(_EU87_SECOND, 0, di), d),
-    ]
-
-
-def _id_eu88(d: int, params: dict) -> list:
-    _no_params(params)
-    di = d + 8
-    lhs = num.sigma_tail((4, 1), 0, di).scale(4)
-    rhs = num.evaluate(LinComb({(2, 2, 1): 6, (3, 1, 1): 22, (2, 1, 1, 1): 33}), 0, di)
-    return [_nc("4*sigma(4,1) == 6*sigma(2,2,1) + 22*sigma(3,1,1) + 33*sigma(2,1,1,1)", lhs, rhs, d)]
-
-
-def _id_zucker(d: int, params: dict) -> list:
-    _no_params(params, ("r",))
-    r = int(params.get("r", 3))
-    if r < 1 or r > 8:
-        raise ValueError("zucker: r must be in 1..8")
-    di = d + 8
-    p = num.pi(di)
-    checks = [
-        _nc(
-            f"sigma(2^{r}) == pi^{2 * r}/(9^{r}*({2 * r})!)",
-            num.sigma_tail((2,) * r, 0, di),
-            p.pow_int(2 * r).scale(Fraction(1, 9**r * math.factorial(2 * r))),
-            d,
-        ),
-        _nc(
-            f"sigma(1,2^{r - 1}) == pi^{2 * r - 1}*sqrt(3)/(3^{2 * r}*({2 * r - 1})!)",
-            num.sigma_tail((1,) + (2,) * (r - 1), 0, di),
-            (p.pow_int(2 * r - 1) * num.sqrt3(di)).scale(
-                Fraction(1, 3 ** (2 * r) * math.factorial(2 * r - 1))
-            ),
-            d,
-        ),
-    ]
-    return checks
-
-
-def _id_th7(d: int, params: dict) -> list:
-    _no_params(params, ("a", "b"))
-    a = int(params.get("a", 1))
-    b = int(params.get("b", 1))
-    if a < 1 or b < 0:
-        raise ValueError("th7: need a >= 1 and b >= 0")
-    di = d + 8
-    comp = (2,) * a + (1,) + (2,) * b
-    lhs = num.sigma_tail(comp, 0, di)
-    rhs = num.th7_coeffs(a, b).evaluate(di)
-    return [_nc(f"sigma(2^{a},1,2^{b}) == closed form", lhs, rhs, d)]
-
-
-def _id_th8(d: int, params: dict) -> list:
-    _no_params(params, ("a", "b"))
-    a = int(params.get("a", 1))
-    b = int(params.get("b", 1))
-    if a < 0 or b < 0:
-        raise ValueError("th8: need a >= 0 and b >= 0")
-    di = d + 8
-    comp = (2,) * a + (3,) + (2,) * b
-    lhs = num.sigma_tail(comp, 0, di)
-    rhs = num.th8_coeffs(a, b).evaluate(di)
-    return [_nc(f"sigma(2^{a},3,2^{b}) == closed form", lhs, rhs, d)]
-
-
-def _id_zagier(d: int, params: dict) -> list:
-    _no_params(params, ("a", "b"))
-    a = int(params.get("a", 1))
-    b = int(params.get("b", 1))
-    if a < 0 or b < 0:
-        raise ValueError("zagier: need a >= 0 and b >= 0")
-    di = d + 8
-    comp = (2,) * a + (3,) + (2,) * b
-    lhs = num.zeta_sym_tail(DualityClass.of(comp), 0, di)
-    rhs = num.zagier_coeffs(a, b).evaluate(di)
-    return [_nc(f"zeta(2^{a},3,2^{b}) == closed form", lhs, rhs, d)]
-
-
-def _id_bbb(d: int, params: dict) -> list:
-    _no_params(params, ("k",))
-    k = int(params.get("k", 6))
-    if k < 2 or k % 2 or k > 12:
-        raise ValueError("bbb: k must be even, 2..12")
-    di = d + 8
-    lhs = num.zeta_int(k, di)
-    rhs = num.evaluate(-_even_alternating_rhs(k), 0, di)
-    return [_nc(f"zeta({k}) == alternating even-composition sum", lhs, rhs, d)]
-
-
-def _id_leshchiner(d: int, params: dict) -> list:
-    _no_params(params, ("k",))
-    k = int(params.get("k", 6))
-    if k < 4 or k % 2 or k > 12:
-        raise ValueError("leshchiner: k must be even, 4..12")
-    di = d + 8
-    lhs = num.zeta_int(k, di).scale(2 - Fraction(2, 2 ** (k - 1)))
-    rhs = num.evaluate(family_leshchiner(k)[1], 0, di)
-    return [_nc(f"2*(1-2^(1-{k}))*zeta({k}) == alternating depth sum", lhs, rhs, d)]
-
-
-def _id_all_twos(d: int, params: dict) -> list:
-    _no_params(params, ("m", "n"))
-    m = int(params.get("m", 3))
-    n = int(params.get("n", 0))
-    if m < 1 or m > 6 or n < 0:
-        raise ValueError("all-twos: need 1 <= m <= 6 and n >= 0")
-    di = d + 8
-    _, rhs_lc = family_all_twos(m)
-    lhs = num.zeta_sym_tail(DualityClass.of((2,) * m), n, di)
-    rhs = num.evaluate(rhs_lc, n, di)
-    return [_nc(f"zeta-tail(2^{m}) at n={n} == weighted sigma tails", lhs, rhs, d)]
-
-
-def _id_th17(d: int, params: dict) -> list:
-    _no_params(params, ("r", "n"))
-    r = int(params.get("r", 2))
-    n = int(params.get("n", 0))
-    if r < 1 or r > 4 or n < 0:
-        raise ValueError("th17: need 1 <= r <= 4 and n >= 0")
-    di = d + 8
-    lhs_lc, rhs_lc = family_selfdual_t4(r)
-    checks = [_ec(f"delta of signed height-weighted sum, weight {2 * r}", delta_inductive(lhs_lc) == rhs_lc)]
-    lhs = num.evaluate(lhs_lc, n, di)
-    rhs = num.evaluate(rhs_lc, n, di)
-    checks.append(_nc(f"numeric contraction at n={n}", lhs, rhs, d))
-    return checks
-
-
-def _id_th18(d: int, params: dict) -> list:
-    _no_params(params, ("k",))
-    k = int(params.get("k", 6))
-    if k < 2 or k % 2 or k > 12:
-        raise ValueError("th18: k must be even, 2..12")
-    lhs_lc, rhs_lc = family_t_family(k)
-    return [_ec(f"one-parameter delta identity, weight {k}", delta_inductive(lhs_lc) == rhs_lc)]
-
-
-_BBB_CONSTANTS = {
-    4: Fraction(17, 2**4),
-    6: Fraction(163, 2**7),
-    8: Fraction(1373, 2**10),
-    10: Fraction(11143, 2**13),
-    12: Fraction(61835987, 2**16 * 691),
-}
-
-
-def _id_bbb_coeffs(d: int, params: dict) -> list:
-    _no_params(params)
-    return [
-        _ec(f"rational coefficient at k={k}", num.bbb_coefficient(k) == v)
-        for k, v in sorted(_BBB_CONSTANTS.items())
-    ]
-
-
-def _id_t1_spotcheck(d: int, params: dict) -> list:
-    _no_params(params, ("weight",))
-    w = int(params.get("weight", 5))
-    if w < 2 or w > 8:
-        raise ValueError("t1-spotcheck: weight must be 2..8")
-    di = d + 8
-    checks = []
-    for c in enumerate_compositions(w, "classes"):
-        dlc = delta_class(c)
-        for n in (0, 1, 3):
-            lhs = num.zeta_sym_tail(c, n, di)
-            rhs = num.evaluate(dlc, n, di)
-            checks.append(_nc(f"zeta-tail{format_class(c)} at n={n}", lhs, rhs, d))
-    return checks
-
-
-IDENTITIES = {
-    "euler": _id_euler,
-    "zeta3": _id_zeta3,
-    "weight4": _id_weight4,
-    "eu87": _id_eu87,
-    "eu88": _id_eu88,
-    "zucker": _id_zucker,
-    "th7": _id_th7,
-    "th8": _id_th8,
-    "zagier": _id_zagier,
-    "bbb": _id_bbb,
-    "leshchiner": _id_leshchiner,
-    "all-twos": _id_all_twos,
-    "th17": _id_th17,
-    "th18": _id_th18,
-    "bbb-coeffs": _id_bbb_coeffs,
-    "t1-spotcheck": _id_t1_spotcheck,
-}
 
 
 def _parse_params(pairs) -> dict:
@@ -517,9 +238,7 @@ def _parse_params(pairs) -> dict:
 def _cmd_verify(args) -> int:
     _digit_gate(args.digits, args.extended)
     params = _parse_params(args.params)
-    fn = IDENTITIES[args.identity]
-    with mp.workprec(num.work_bits(args.digits + 12, 1 << 12)):
-        checks = fn(args.digits, params)
+    checks = identities.run(args.identity, args.digits, params)
     passed = all(c["passed"] for c in checks)
     payload = {
         "identity": args.identity,

@@ -333,10 +333,3 @@ def parse_composition(s: str) -> Composition:
 
 def format_class(c: DualityClass) -> str:
     return "[" + format_composition(c.rep) + "]"
-
-
-def parse_class(s: str) -> DualityClass:
-    t = s.strip()
-    if t.startswith("[") and t.endswith("]"):
-        t = t[1:-1]
-    return DualityClass.of(parse_composition(t))

@@ -384,11 +384,6 @@ def alpha(lc: LinComb) -> LinComb:
     return lc.map_basis(one)
 
 
-def alpha_component(lc: LinComb, k_out: int) -> LinComb:
-    """Weight-``k_out`` homogeneous component of ``alpha(lc)``."""
-    return alpha(lc).homogeneous_part(k_out)
-
-
 def class_projection(lc: LinComb) -> LinComb:
     """Linear extension of a -> [a]; support must be admissible compositions."""
     for b in lc._terms:

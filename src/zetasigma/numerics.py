@@ -803,10 +803,12 @@ def _descend(keys, n: int, d: int) -> tuple:
 
     Every node starts from its seed bound at a common start M and steps down
     to n; nodes update in place in decreasing weight, so each node reads its
-    children's values at m.  The descent runs in integers scaled by 2^B: a
-    node holds V ~ 2^B * tail and an exact bound E on |V - 2^B * tail|,
-    which grows by ceil(E_child / q) + 1 for each floor division by q = m^e,
-    since |floor(x/q) - y/q| <= |x - y|/q + 1.  Returns (B, {key: (V, E)}).
+    children's values at m.  When n >= M nothing steps: every tail is 0
+    within its seed bound at M, which bounds it at every n >= M too.  The
+    descent runs in integers scaled by 2^B: a node holds V ~ 2^B * tail and
+    an exact bound E on |V - 2^B * tail|, which grows by ceil(E_child / q)
+    + 1 for each floor division by q = m^e, since |floor(x/q) - y/q| <=
+    |x - y|/q + 1.  Returns (B, {key: (V, E)}).
     """
     graph: dict = {}
     stack = list(keys)
@@ -816,10 +818,11 @@ def _descend(keys, n: int, d: int) -> tuple:
             graph[node] = _edges(node)
             stack.extend(child for child, _ in graph[node])
     nodes = sorted((v for v in graph if _basis_weight(v)), key=_basis_weight, reverse=True)
-    # the least start >= 1 with top / 4^start <= 10^-(d+6), i.e. 4^start >= r
-    top = max((_seed_bound(v) for v in nodes), default=Fraction(0))
+    # the least start >= 1 with top / 4^start <= 10^-(d+6), i.e. 4^start >= r;
+    # top >= 0.6 (1 for the base alone) keeps 1/C(2 start, start) that small too
+    top = max((_seed_bound(v) for v in nodes), default=Fraction(1))
     r = -(-top.numerator * 10 ** (d + 6) // top.denominator)
-    start = max(1, n + 1, -(-(r - 1).bit_length() // 2))
+    start = max(1, -(-(r - 1).bit_length() // 2))
     fan = max((len(graph[v]) for v in nodes), default=1)
     B = _bits(d, (start + 4) * (len(nodes) + 2) * fan)
     one = 1 << B
@@ -842,7 +845,8 @@ def _descend(keys, n: int, d: int) -> tuple:
                 x += val[j] // q[e]
                 y += -(-err[j] // q[e]) + 1
             val[i], err[i] = x, y
-    base = (one // binom, 1)
+    # binom is C(2n, n) after a descent; 1/C(2n, n) <= 1/C(2M, M) for n >= M
+    base = (one // binom, 1) if n < start else (0, -(-one // binom))
     return B, {
         key: (val[index[key]], err[index[key]]) if _basis_weight(key) else base for key in keys
     }

@@ -1,11 +1,16 @@
 """Command-line interface: output formats, exit codes, argument gates."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 
 from conftest import tol
+from zetasigma import identities
 from zetasigma.cli import IDENTITIES, main
 from zetasigma.compositions import DualityClass
 from zetasigma.delta import delta_class
@@ -187,6 +192,57 @@ def test_verify_registry_defaults(identity, capsys):
     assert payload["checks"]
 
 
+# The ordered (kind, name) list of every identity's checks at its default
+# parameters, frozen from the registry's output.
+VERIFY_CHECKS = {
+    "all-twos": [("numeric", "zeta-tail(2^3) at n=0 == weighted sigma tails")],
+    "bbb": [("numeric", "zeta(6) == alternating even-composition sum")],
+    "bbb-coeffs": [("exact", f"rational coefficient at k={k}") for k in (4, 6, 8, 10, 12)],
+    "eu87": [
+        ("numeric", "sigma(5), depth-mixed expansion"),
+        ("numeric", "sigma(5), second expansion"),
+    ],
+    "eu88": [
+        ("numeric", "4*sigma(4,1) == 6*sigma(2,2,1) + 22*sigma(3,1,1) + 33*sigma(2,1,1,1)")
+    ],
+    "euler": [("numeric", "zeta(2) == 3*sigma(2)")],
+    "leshchiner": [("numeric", "2*(1-2^(1-6))*zeta(6) == alternating depth sum")],
+    "th17": [
+        ("exact", "delta of signed height-weighted sum, weight 4"),
+        ("numeric", "numeric contraction at n=0"),
+    ],
+    "th18": [("exact", "one-parameter delta identity, weight 6")],
+    "th7": [("numeric", "sigma(2^1,1,2^1) == closed form")],
+    "th8": [("numeric", "sigma(2^1,3,2^1) == closed form")],
+    "weight4": [
+        ("numeric", "sigma(4) == 17*pi^4/3240"),
+        ("numeric", "sigma(2,2) == pi^4/1944"),
+        ("numeric", "2*sigma(3,1) + 3*sigma(2,1,1) == pi^4/1620"),
+    ],
+    "zagier": [("numeric", "zeta(2^1,3,2^1) == closed form")],
+    "zeta3": [("numeric", "zeta(3) == 2*sigma(3) + 3*sigma(2,1)")],
+    "zucker": [
+        ("numeric", "sigma(2^3) == pi^6/(9^3*(6)!)"),
+        ("numeric", "sigma(1,2^2) == pi^5*sqrt(3)/(3^6*(5)!)"),
+    ],
+}
+
+
+@pytest.mark.parametrize("identity", sorted(IDENTITIES))
+def test_verify_check_names_pinned(identity, capsys):
+    code, out, _ = run(
+        capsys, "verify", "--identity", identity, "--digits", "12", "--format", "json"
+    )
+    assert code == 0
+    got = [(c["kind"], c["name"]) for c in json.loads(out)["checks"]]
+    if identity == "t1-spotcheck":
+        # 4 classes of weight 5, each at n = 0, 1, 3
+        assert len(got) == 12
+        assert got[0] == ("numeric", "zeta-tail[5] at n=0")
+    else:
+        assert got == VERIFY_CHECKS[identity]
+
+
 def test_verify_param_validation(capsys):
     code, _, err = run(
         capsys, "verify", "--identity", "zucker", "--params", "r=9"
@@ -204,6 +260,124 @@ def test_verify_param_validation(capsys):
     with pytest.raises(SystemExit) as e:
         run(capsys, "verify", "--identity", "nonsense")
     assert e.value.code == 2
+
+
+# Every identity's --params keys with (default, lo, hi, step), as the
+# verify contract states them.
+DECLARED_PARAMS = {
+    "euler": {},
+    "zeta3": {},
+    "weight4": {},
+    "eu87": {},
+    "eu88": {},
+    "zucker": {"r": (3, 1, 8, 1)},
+    "th7": {"a": (1, 1, None, 1), "b": (1, 0, None, 1)},
+    "th8": {"a": (1, 0, None, 1), "b": (1, 0, None, 1)},
+    "zagier": {"a": (1, 0, None, 1), "b": (1, 0, None, 1)},
+    "bbb": {"k": (6, 2, 12, 2)},
+    "leshchiner": {"k": (6, 4, 12, 2)},
+    "all-twos": {"m": (3, 1, 6, 1), "n": (0, 0, None, 1)},
+    "th17": {"r": (2, 1, 4, 1), "n": (0, 0, None, 1)},
+    "th18": {"k": (6, 2, 12, 2)},
+    "bbb-coeffs": {},
+    "t1-spotcheck": {"weight": (5, 2, 8, 1)},
+}
+
+
+def test_registry_declares_the_contract_params():
+    assert IDENTITIES is identities.IDENTITIES
+    got = {
+        name: {k: (p.default, p.lo, p.hi, p.step) for k, p in row.params.items()}
+        for name, row in IDENTITIES.items()
+    }
+    assert got == DECLARED_PARAMS
+
+
+def _bad_values(p):
+    yield p.lo - 1
+    if p.hi is not None:
+        yield p.hi + 1
+    if p.step == 2:
+        yield p.lo + 1
+
+
+BAD_PARAMS = [
+    (name, key, value)
+    for name, row in sorted(IDENTITIES.items())
+    for key, p in row.params.items()
+    for value in _bad_values(p)
+]
+
+
+@pytest.mark.parametrize("identity,key,value", BAD_PARAMS)
+def test_verify_rejects_undeclared_param_values(identity, key, value, capsys):
+    code, out, err = run(
+        capsys, "verify", "--identity", identity, "--params", f"{key}={value}"
+    )
+    assert code == 2
+    assert out == ""
+    lo = IDENTITIES[identity].params[key].lo
+    assert err.startswith(f"error: {identity}: {key} must be ")
+    assert str(lo) in err
+
+
+@pytest.mark.parametrize("identity", ["euler", "th17"])
+def test_verify_unknown_param_names_the_identity(identity, capsys):
+    code, out, err = run(capsys, "verify", "--identity", identity, "--params", "bogus=1")
+    assert code == 2
+    assert out == ""
+    assert identity in err and "bogus" in err
+
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
+
+# Runs cli.main in-process and reports its exit code and wall time on the
+# last line of stderr, so interpreter start-up is not timed.
+_TIMED_MAIN = """
+import json, sys, time
+from zetasigma.cli import main
+t0 = time.perf_counter()
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "s": time.perf_counter() - t0}), file=sys.stderr)
+"""
+
+
+def _python(*argv, timeout):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=timeout
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--sigma", "2", "--n", "100000000000", "--format", "json"],
+        ["verify", "--identity", "all-twos", "--params", "n=100000000000", "--format", "json"],
+        ["verify", "--identity", "th17", "--params", "n=10000000000000", "--format", "json"],
+    ],
+)
+def test_huge_tail_index_returns_at_once(argv):
+    proc = _python("-c", _TIMED_MAIN, *argv, timeout=60)
+    timing = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert timing["code"] == 0, proc.stderr
+    assert timing["s"] < 1.0
+    payload = json.loads(proc.stdout)
+    with mp.workprec(200):
+        if argv[0] == "eval":
+            value, err = mp.mpf(payload["value"]), mp.mpf(payload["abs_error"])
+            assert abs(value) <= err <= tol(40)
+        else:
+            assert payload["passed"] is True
+            numeric = [c for c in payload["checks"] if c["kind"] == "numeric"]
+            assert mp.mpf(numeric[0]["residual"]) <= tol(40)
+
+
+def test_verify_all_script():
+    proc = _python(str(ROOT / "scripts" / "verify_all.py"), "--digits", "12", timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "all 16 identities passed" in proc.stderr
 
 
 # --------------------------------------------------------------- delta-matrix

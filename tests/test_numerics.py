@@ -34,7 +34,7 @@ from zetasigma.compositions import (
     mid_part,
     weight,
 )
-from zetasigma.delta import delta_class, delta_inductive
+from zetasigma.delta import delta_class, delta_inductive, family_selfdual_t4
 from zetasigma.lincomb import LinComb, Poly
 
 SIGMA2_45 = "0.548311355616075478824138388882008396406316634"
@@ -660,3 +660,32 @@ def test_tail_accuracy_at_the_digit_cap():
     assert weight(a) == 10 and len(closure) == 9
     for n in (0, 10):
         assert num.zeta_sym_tail(a, n, cap).abs_error <= tol(cap), n
+
+
+def test_tails_far_past_the_seeded_start():
+    # no descent from n: each tail is 0 within its seed bound at the start
+    lhs, rhs = family_selfdual_t4(2)
+    for n in (10**11, 10**13):
+        for digits in (20, 150):
+            for x in (
+                num.sigma_tail((2,), n, digits),
+                num.sigma_tail((), n, digits),
+                num.zeta_sym_tail((2, 2, 2), n, digits),
+                num.evaluate(lhs - rhs + LinComb({(): 5}), n, digits),
+            ):
+                assert abs(x.value) <= x.abs_error <= tol(digits), (n, digits)
+
+
+def test_tail_enclosures_sound_across_the_seeded_start():
+    # the seeded start is 27 at 10 digits and 43 or 44 at 20, so the coarse
+    # call skips its descent from n = 27 on while the fine one still descends
+    lc = LinComb({(2, 1): 3, DualityClass.of((3, 1)): -1, (): 2})
+    for n in range(15, 43):
+        for f in (
+            lambda d: num.sigma_tail((2, 1), n, d),
+            lambda d: num.sigma_tail((), n, d),
+            lambda d: num.zeta_sym_tail((3, 1), n, d),
+            lambda d: num.evaluate(lc, n, d),
+        ):
+            coarse, fine = f(10), f(20)
+            assert abs(coarse.value - fine.value) <= coarse.abs_error, n
