@@ -25,22 +25,21 @@ def main() -> int:
     args = ap.parse_args()
     d = args.digits
 
-    with mp.workprec(num.work_bits(d + 12, 1 << 12)):
-        lhs = num.evaluate(LinComb({(2, 6): 18, (4, 4): 65, (2, 2, 4): 12}), 0, d)
-        # zeta(2,2,2,2) = pi^8/9!
-        z2222 = num.pi(d).pow_int(8).scale(Fraction(1, math.factorial(9)))
-        zetas = LinComb(
-            {
-                DualityClass.of((3, 3, 2)): 747,
-                DualityClass.of((3, 2, 3)): 818,
-                DualityClass.of((2, 3, 3)): 842,
-            }
-        )
-        rhs = (z2222.scale(Fraction(1593337, 240)) - num.evaluate(zetas, 0, d)).scale(Fraction(16, 825))
+    lhs = num.evaluate(LinComb({(2, 6): 18, (4, 4): 65, (2, 2, 4): 12}), 0, d)
+    # zeta(2,2,2,2) = pi^8/9!
+    z2222 = num.pi(d).pow_int(8).scale(Fraction(1, math.factorial(9)))
+    zetas = LinComb(
+        {
+            DualityClass.of((3, 3, 2)): 747,
+            DualityClass.of((3, 2, 3)): 818,
+            DualityClass.of((2, 3, 3)): 842,
+        }
+    )
+    rhs = (z2222.scale(Fraction(1593337, 240)) - num.evaluate(zetas, 0, d)).scale(Fraction(16, 825))
 
-        print(f"lhs = {lhs.formatted(d)}")
-        print(f"rhs = {rhs.formatted(d)}")
-        print(f"residual <= {mp.nstr(num.residual_upper(lhs, rhs), 5)} at {d} digits")
+    print(f"lhs = {lhs.formatted(d)}")
+    print(f"rhs = {rhs.formatted(d)}")
+    print(f"residual <= {mp.nstr(num.residual_upper(lhs, rhs), 5)} at {d} digits")
     print("(conjectural: reported, not asserted)")
     return 0
 

@@ -58,7 +58,7 @@ def _emit(fmt: str, payload, text_lines, csv_lines) -> None:
 
 
 def _comp_text(a) -> str:
-    return "(" + format_composition(a) + ")"
+    return "(" + ",".join(map(str, a)) + ")"
 
 
 def _lincomb_text(lc: LinComb) -> str:
@@ -192,18 +192,17 @@ def _cmd_eval(args) -> int:
     _digit_gate(args.digits, args.extended)
     if args.n < 0:
         raise ValueError("--n must be >= 0")
-    with mp.workprec(num.work_bits(args.digits + 12, 1 << 12)):
-        if args.sigma is not None:
-            a = parse_composition(args.sigma)
-            kind, arg_text = "sigma", _comp_text(a)
-            val = num.sigma_tail(a, args.n, args.digits)
-        else:
-            a = parse_composition(args.zeta_tail)
-            c = DualityClass.of(a)
-            kind, arg_text = "zeta-tail", format_class(c)
-            val = num.zeta_sym_tail(c, args.n, args.digits)
-        vs = mp.nstr(val.value, args.digits + 2)
-        es = mp.nstr(val.abs_error, 3)
+    if args.sigma is not None:
+        a = parse_composition(args.sigma)
+        kind, arg_text = "sigma", _comp_text(a)
+        val = num.sigma_tail(a, args.n, args.digits)
+    else:
+        a = parse_composition(args.zeta_tail)
+        c = DualityClass.of(a)
+        kind, arg_text = "zeta-tail", format_class(c)
+        val = num.zeta_sym_tail(c, args.n, args.digits)
+    vs = mp.nstr(val.value, args.digits + 2)
+    es = mp.nstr(val.abs_error, 3)
     payload = {
         "kind": kind,
         "argument": list(a),

@@ -39,6 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from numbers import Integral
 from operator import mul
 from typing import Sequence
 
@@ -58,43 +59,26 @@ class ReconstructionError(RuntimeError):
 # primes
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _primes_below(limit: int, count: int) -> tuple[int, ...]:
-    out = []
-    n = limit - 1 if limit % 2 == 0 else limit - 2
-    while len(out) < count:
-        if _is_prime(n):
-            out.append(n)
-        n -= 2
-    return tuple(out)
+    """The `count` largest primes below `limit`, descending: a sieve of the
+    window [limit - span, limit), its span doubled until it holds them."""
+    span = 32 * count
+    while True:
+        lo = limit - span
+        composite = np.zeros(span, dtype=bool)
+        for q in range(2, isqrt(limit - 1) + 1):
+            composite[max(q * q, -(-lo // q) * q) - lo :: q] = True
+        primes = lo + np.flatnonzero(~composite)[::-1]
+        if len(primes) >= count:
+            return tuple(int(x) for x in primes[:count])
+        span *= 2
 
 
-#: primes just below 2^21: residue elimination and rational reconstruction.
-#: Small enough that p^2 products accumulated over a <= 2^11-wide panel stay
-#: below 2^53, so the elimination runs on exact float64 matmuls (BLAS).
-PRIMES21 = _primes_below(1 << 21, 384)
+#: primes just below 2^21: residue elimination and rational reconstruction,
+#: tried in turn while a prime turns out unlucky.  Small enough that p^2
+#: products accumulated over a <= 2^11-wide panel stay below 2^53, so the
+#: elimination runs on exact float64 matmuls (BLAS).
+PRIMES21 = _primes_below(1 << 21, 12)
 #: primes just below 2^20: verification products, exact float64 matmuls over
 #: slices of up to 2^13 inner terms (q^2 * 2^13 < 2^53).
 PRIMES20 = _primes_below(1 << 20, 512)
@@ -468,7 +452,7 @@ class KernelCertificate:
         return self.n_cols - self.rank
 
 
-def _verify_product(M, mmax, P, L, pivots, free, chunk_rows=4096):
+def _verify_product(M, mmax, P, L, pivots, free):
     """Exactly establish M @ V == 0 for the integer kernel matrix V with
     diag(L) on the free rows and P on the pivot rows, by modular checks whose
     combined modulus exceeds twice a bound on |M @ V| entries."""
@@ -491,23 +475,38 @@ def _verify_product(M, mmax, P, L, pivots, free, chunk_rows=4096):
         V[free_idx, np.arange(t)] = np.array([x % q for x in L], dtype=np.int64)
         if pivots:
             V[piv_idx, :] = np.array([[x % q for x in row] for row in P], dtype=np.int64)
-        for a in range(0, m, chunk_rows):
-            C = _matmul_exact(M[a : a + chunk_rows] % q, V, q - 1, q - 1)
+        for a in range(0, m, 4096):  # bounds the size of the residue slices
+            C = _matmul_exact(M[a : a + 4096] % q, V, q - 1, q - 1)
             if np.any(C % q):
                 return False
     return True
 
 
-def certified_kernel(
-    mat, *, need_basis: bool = True, max_primes: int = 12, chunk_rows: int = 4096
-) -> KernelCertificate:
+def _int64_matrix(mat) -> np.ndarray:
+    """mat as an int64 array.  A non-integer entry raises ValueError, and an
+    integer of magnitude 2^63 or more, beyond int64, ReconstructionError."""
+    if isinstance(mat, np.ndarray) and mat.dtype.kind in "biu":
+        M = mat
+    else:
+        M = np.array(mat, dtype=object)
+        if not all(isinstance(x, Integral) for x in M.flat):
+            raise ValueError("certified_kernel needs integer entries")
+    if M.size and max(int(M.max()), -int(M.min())) >= 1 << 63:
+        raise ReconstructionError("certified_kernel: an entry of magnitude >= 2^63 is beyond int64")
+    return M.astype(np.int64, copy=False)
+
+
+def certified_kernel(mat, *, need_basis: bool = True) -> KernelCertificate:
     """Certified rank and saturated kernel lattice of an integer matrix.
+
+    Entries must be integers of magnitude below 2^63: a non-integer entry
+    raises ValueError, and a larger integer ReconstructionError.
 
     >>> c = certified_kernel([[1, 1, 0], [0, 2, 2]])
     >>> c.rank, c.nullity, c.basis
     (2, 1, ((1, -1, 1),))
     """
-    M = np.asarray(mat, dtype=np.int64)
+    M = _int64_matrix(mat)
     if M.ndim != 2:
         raise ValueError("a 2-D integer matrix is required")
     m, n = M.shape
@@ -517,7 +516,7 @@ def certified_kernel(
     if m == 0 or mmax == 0:
         basis = tuple(tuple(1 if j == f else 0 for j in range(n)) for f in range(n))
         return KernelCertificate(m, n, 0, basis if need_basis else None, ())
-    for p in PRIMES21[:max_primes]:
+    for p in PRIMES21:
         rank, pivots, rows, X = _kernel_mod_p_fast(M, p)
         t = n - rank
         if t == 0:
@@ -531,13 +530,13 @@ def certified_kernel(
                 continue
             L = [lcm(*(row[f][1] for row in F)) for f in range(t)]
             P = [[-num * (L[f] // den) for f, (num, den) in enumerate(row)] for row in F]
-            if _verify_product(M, mmax, P, L, pivots, free, chunk_rows):
+            if _verify_product(M, mmax, P, L, pivots, free):
                 basis = _saturate(F, pivots, free, n) if need_basis else None
                 return KernelCertificate(m, n, rank, basis, (p,))
-            if _verify_product(Mr, mmax, P, L, pivots, free, chunk_rows):
+            if _verify_product(Mr, mmax, P, L, pivots, free):
                 break  # A Y = B exactly, so the pivot rows miss part of M's row space
         # p is unlucky: M has a larger rank over Q than modulo p
-    raise ReconstructionError(f"no certificate after {max_primes} primes")
+    raise ReconstructionError(f"no certificate after {len(PRIMES21)} primes")
 
 
 # ---------------------------------------------------------------------------
@@ -755,28 +754,26 @@ def alpha_matrix(k: int) -> np.ndarray:
 _CERT_CACHE: dict[tuple[str, int], KernelCertificate] = {}
 
 
-def kernel_of_delta(k: int, *, need_basis: bool = True) -> KernelCertificate:
-    """Certified kernel of the weight-k delta matrix (over the class basis)."""
-    key = ("delta", k)
+def _cached_kernel(name: str, build, k: int, need_basis: bool) -> KernelCertificate:
+    """The certificate of build(k), cached under (name, k); a rank-only one
+    is replaced when a basis is asked for."""
+    key = (name, k)
     got = _CERT_CACHE.get(key)
     if got is None or (need_basis and got.basis is None):
-        budget = 12 if k <= 12 else len(PRIMES21)
-        got = certified_kernel(delta_matrix(k), need_basis=need_basis, max_primes=budget)
+        got = certified_kernel(build(k), need_basis=need_basis)
         if need_basis or key not in _CERT_CACHE:
             _CERT_CACHE[key] = got
     return got
+
+
+def kernel_of_delta(k: int, *, need_basis: bool = True) -> KernelCertificate:
+    """Certified kernel of the weight-k delta matrix (over the class basis)."""
+    return _cached_kernel("delta", delta_matrix, k, need_basis)
 
 
 def kernel_of_alpha(k: int, *, need_basis: bool = True) -> KernelCertificate:
     """Certified kernel of the weight-k alpha matrix (over the class basis)."""
-    key = ("alpha", k)
-    got = _CERT_CACHE.get(key)
-    if got is None or (need_basis and got.basis is None):
-        budget = 12 if k <= 12 else len(PRIMES21)
-        got = certified_kernel(alpha_matrix(k), need_basis=need_basis, max_primes=budget)
-        if need_basis or key not in _CERT_CACHE:
-            _CERT_CACHE[key] = got
-    return got
+    return _cached_kernel("alpha", alpha_matrix, k, need_basis)
 
 
 def _checked_product(C: np.ndarray, A: np.ndarray, k: int) -> np.ndarray:
@@ -811,7 +808,7 @@ def preimage_lattice(k: int) -> KernelCertificate:
         if cert.nullity == 0:
             blocks.append(A_kp)
         else:
-            check = certified_kernel(np.asarray(cert.basis, dtype=np.int64)).basis
+            check = certified_kernel(cert.basis).basis
             C = np.asarray(check, dtype=np.int64)
             blocks.append(_checked_product(C, A_kp, k))
     return certified_kernel(np.vstack(blocks))

@@ -5,8 +5,9 @@ declared with its default and its range.  A builder is called with the
 working digits and the checked parameters, and returns its checks in order:
 ``(name, lhs, rhs)`` for a numeric check of two ``ApproxReal`` values, and
 ``(name, passed)`` for an exact one.  :func:`run` validates the parameters,
-sets the working precision, calls the builder and turns each check into the
-record that ``verify`` prints.
+calls the builder and turns each check into the record that ``verify``
+prints.  Every value carries its own working precision, so nothing here
+depends on the caller's ``mp.prec``.
 
 >>> [c["passed"] for c in run("zucker", 20, {"r": 2})]
 [True, True]
@@ -267,7 +268,7 @@ def _record(check: tuple, digits: int) -> dict:
         return {"name": name, "kind": "exact", "passed": bool(passed)}
     name, lhs, rhs = check
     res = num.residual_upper(lhs, rhs)
-    tol = mp.mpf(10) ** (-digits)
+    tol = num._tolerance(digits, max(lhs.prec, rhs.prec))
     return {
         "name": name,
         "kind": "numeric",
@@ -292,5 +293,4 @@ def run(name: str, digits: int, params: dict) -> list[dict]:
             f"{name}: unknown --params keys: {', '.join(unknown)} (allowed: {allowed})"
         )
     values = {key: p.check(name, key, params.get(key, p.default)) for key, p in row.params.items()}
-    with mp.workprec(num.work_bits(digits + 12, 1 << 12)):
-        return [_record(c, digits) for c in row.build(digits + _GUARD_DIGITS, **values)]
+    return [_record(c, digits) for c in row.build(digits + _GUARD_DIGITS, **values)]

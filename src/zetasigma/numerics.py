@@ -3,9 +3,12 @@
 Exact rational scaffolding (Bernoulli numbers, a Machin-style pi enclosure,
 Euler--Maclaurin Hurwitz zeta with a proven remainder rule) feeds a small
 self-validating arithmetic: every result is an ``ApproxReal`` carrying a
-floating value together with a bound on its absolute error.  Constants and
-closed forms propagate those bounds conservatively through each operation;
-the tail descent counts its own rounding exactly in fixed point (below).
+floating value, a bound on its absolute error and the mpmath precision it
+was built at.  Each public function picks that precision from its digit
+request; arithmetic on enclosures rounds at the larger operand precision,
+never at the caller's ``mp.prec``.  Constants and closed forms propagate
+the bounds conservatively through each operation; the tail descent
+counts its own rounding exactly in fixed point (below).
 A reported enclosure ``value +- abs_error`` is honest: recomputing at
 higher precision stays inside it.
 
@@ -93,7 +96,6 @@ __all__ = [
     "th7_coeffs",
     "th8_coeffs",
     "weight5_xyzw",
-    "work_bits",
     "zagier_coeffs",
     "zeta_double_tail_oracle",
     "zeta_even_over_pi",
@@ -137,11 +139,6 @@ def _bits(digits: int, terms: int = 1) -> int:
     return int((digits + PRECISION.guard) * LOG2_10) + max(terms, 2).bit_length() + 24
 
 
-def work_bits(digits: int, terms: int = 1) -> int:
-    """Mantissa bits adequate for combining enclosures at this digit level."""
-    return _bits(digits, terms)
-
-
 def _rnd(v) -> "mp.mpf":
     # Bound for the rounding of the single mpf operation that produced v,
     # with a factor-16 safety margin that also absorbs the (relatively
@@ -160,16 +157,21 @@ def _mpf_upper(q: Fraction) -> "mp.mpf":
 class ApproxReal:
     """A floating value with a proven bound on its absolute error.
 
+    ``prec`` is the mpmath precision in force when the value was built.
+    Arithmetic runs at the larger operand ``prec`` and stamps it on the
+    result, so a result never depends on the caller's ``mp.prec``.
+
     >>> x = ApproxReal.from_fraction(Fraction(1, 3))
     >>> float(x)  # doctest: +ELLIPSIS
     0.333...
     """
 
-    __slots__ = ("value", "abs_error")
+    __slots__ = ("value", "abs_error", "prec")
 
     def __init__(self, value=0, abs_error=0):
         self.value = mp.mpf(value)
         self.abs_error = mp.mpf(abs_error)
+        self.prec = mp.prec
         assert self.abs_error >= 0
 
     @classmethod
@@ -184,32 +186,38 @@ class ApproxReal:
         return cls(v, _mpf_upper(Fraction(bound)) + 4 * _rnd(v))
 
     def __add__(self, other: "ApproxReal") -> "ApproxReal":
-        v = self.value + other.value
-        return ApproxReal(v, self.abs_error + other.abs_error + _rnd(v))
+        with mp.workprec(max(self.prec, other.prec)):
+            v = self.value + other.value
+            return ApproxReal(v, self.abs_error + other.abs_error + _rnd(v))
 
     def __sub__(self, other: "ApproxReal") -> "ApproxReal":
-        v = self.value - other.value
-        return ApproxReal(v, self.abs_error + other.abs_error + _rnd(v))
+        with mp.workprec(max(self.prec, other.prec)):
+            v = self.value - other.value
+            return ApproxReal(v, self.abs_error + other.abs_error + _rnd(v))
 
     def __neg__(self) -> "ApproxReal":
-        return ApproxReal(-self.value, self.abs_error)
+        with mp.workprec(self.prec):
+            return ApproxReal(-self.value, self.abs_error)
 
     def __mul__(self, other: "ApproxReal") -> "ApproxReal":
-        v = self.value * other.value
-        e = (
-            abs(self.value) * other.abs_error
-            + abs(other.value) * self.abs_error
-            + self.abs_error * other.abs_error
-            + _rnd(v)
-        )
-        return ApproxReal(v, e)
+        with mp.workprec(max(self.prec, other.prec)):
+            v = self.value * other.value
+            e = (
+                abs(self.value) * other.abs_error
+                + abs(other.value) * self.abs_error
+                + self.abs_error * other.abs_error
+                + _rnd(v)
+            )
+            return ApproxReal(v, e)
 
     def scale(self, q) -> "ApproxReal":
-        return self * ApproxReal.from_fraction(q)
+        with mp.workprec(self.prec):
+            return self * ApproxReal.from_fraction(q)
 
     def pow_int(self, k: int) -> "ApproxReal":
         assert k >= 0
-        out = ApproxReal(mp.mpf(1), 0)
+        with mp.workprec(self.prec):
+            out = ApproxReal(mp.mpf(1), 0)
         base = self
         while k:
             if k & 1:
@@ -220,7 +228,8 @@ class ApproxReal:
         return out
 
     def abs_upper(self) -> "mp.mpf":
-        return abs(self.value) + self.abs_error
+        with mp.workprec(self.prec):
+            return abs(self.value) + self.abs_error
 
     def __float__(self) -> float:
         return float(self.value)
@@ -238,8 +247,14 @@ def residual_upper(x: ApproxReal, y: ApproxReal) -> "mp.mpf":
     return d.abs_upper()
 
 
+def _tolerance(digits: int, prec: int) -> "mp.mpf":
+    """10^-digits, rounded at prec bits."""
+    with mp.workprec(prec):
+        return mp.mpf(10) ** (-digits)
+
+
 def agrees_to_digits(x: ApproxReal, y: ApproxReal, digits: int) -> bool:
-    return residual_upper(x, y) < mp.mpf(10) ** (-digits)
+    return residual_upper(x, y) < _tolerance(digits, max(x.prec, y.prec))
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,9 @@ settings.load_profile("zetasigma")
 
 @pytest.fixture(autouse=True)
 def ambient_precision():
-    """Enough mantissa bits that combining enclosures in test code never
-    dominates the evaluators' own certified error bounds."""
+    """Enough mantissa bits for the tests' own mpmath reference arithmetic
+    (parsed reference strings, direct sums and comparisons with them).
+    ``ApproxReal`` arithmetic carries its own precision and ignores this."""
     with mp.workprec(700):
         yield
 

@@ -65,6 +65,14 @@ def test_enumerate_deterministic(capsys):
     assert a == b
 
 
+def test_empty_composition_text(capsys):
+    code, out, _ = run(capsys, "enumerate", "--weight", "0")
+    assert (code, out) == (0, "()\n")
+    code, out, _ = run(capsys, "eval", "--sigma", "", "--digits", "5")
+    assert code == 0
+    assert out.startswith("sigma () at n=0: 1.0 +/- ")
+
+
 def test_enumerate_bad_filter(capsys):
     with pytest.raises(SystemExit) as e:
         run(capsys, "enumerate", "--weight", "4", "--filter", "bogus")
@@ -378,6 +386,13 @@ def test_verify_all_script():
     proc = _python(str(ROOT / "scripts" / "verify_all.py"), "--digits", "12", timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "all 16 identities passed" in proc.stderr
+
+
+def test_weight8_report_script():
+    proc = _python(str(ROOT / "scripts" / "weight8_report.py"), "--digits", "20", timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "residual <= " in proc.stdout
+    assert "(conjectural" in proc.stdout
 
 
 # --------------------------------------------------------------- delta-matrix

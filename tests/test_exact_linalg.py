@@ -70,6 +70,34 @@ def test_certified_kernel_edges():
         certified_kernel([1, 2, 3])
 
 
+@pytest.mark.parametrize(
+    "mat,error",
+    [
+        ([[1.5, 2]], ValueError),
+        ([[Fraction(1, 2), 1]], ValueError),
+        (np.array([[1.0, 2.0]]), ValueError),
+        (np.array([[2**63, 0], [0, 2**63]], dtype=np.uint64), ReconstructionError),
+        ([[-(2**63), 0], [0, -(2**63)]], ReconstructionError),
+        ([[2**63, 1]], ReconstructionError),
+    ],
+)
+def test_certified_kernel_refuses_entries_it_cannot_hold(mat, error):
+    with pytest.raises(error, match="integer entries|beyond int64"):
+        certified_kernel(mat)
+
+
+def _is_prime_by_trial_division(n):
+    return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+@pytest.mark.parametrize("table,limit", [(exact_linalg.PRIMES21, 1 << 21), (exact_linalg.PRIMES20, 1 << 20)])
+def test_prime_tables_are_the_largest_primes_below_their_limit(table, limit):
+    assert all(p > q for p, q in zip(table, table[1:]))
+    assert all(_is_prime_by_trial_division(p) for p in table)
+    for hi, lo in zip((limit,) + table, table):
+        assert not any(_is_prime_by_trial_division(x) for x in range(lo + 2, hi, 2))
+
+
 @given(int_matrices())
 def test_certified_kernel_matches_fractions(rows):
     cert = certified_kernel(rows)

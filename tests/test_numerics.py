@@ -25,7 +25,7 @@ from conftest import (
     assert_close,
     tol,
 )
-from zetasigma import numerics as num
+from zetasigma import identities, numerics as num
 from zetasigma.compositions import (
     DualityClass,
     enumerate_compositions,
@@ -145,6 +145,46 @@ def test_approx_real_arithmetic():
     assert num.agrees_to_digits(third, third, 30)
     far = num.ApproxReal.from_fraction(Fraction(1, 2))
     assert not num.agrees_to_digits(third, far, 3)
+
+
+def test_approx_real_carries_its_precision():
+    with mp.workprec(80):
+        coarse = num.ApproxReal(1, 0)
+    with mp.workprec(300):
+        fine = num.ApproxReal.from_fraction(Fraction(1, 3))
+    assert (coarse.prec, fine.prec) == (80, 300)
+    with mp.workprec(53):
+        for x in (coarse + fine, fine - coarse, coarse * fine, fine.scale(7), fine.pow_int(3), -fine):
+            assert x.prec == 300
+            assert x.abs_error < mp.mpf(2) ** -280
+        assert (-coarse).prec == 80
+
+
+def test_enclosures_keep_their_accuracy_at_53_bits():
+    with mp.workprec(53):
+        assert num.pi(40).pow_int(4).abs_error <= 1e-40
+        s2 = num.sigma_tail((2,), 0, 40)
+        assert (s2 + s2).abs_error <= 1e-40
+        assert num.residual_upper(num.zeta_int(2, 40), s2.scale(3)) <= 1e-40
+        assert num.agrees_to_digits(num.zeta_int(2, 40), s2.scale(3), 40)
+
+
+@pytest.mark.parametrize("name", sorted(identities.IDENTITIES))
+def test_identity_builders_ignore_the_ambient_precision(name):
+    row = identities.IDENTITIES[name]
+    defaults = {key: p.default for key, p in row.params.items()}
+
+    def raw():
+        return [
+            [(x.value._mpf_, x.abs_error._mpf_) for x in check[1:]] if len(check) == 3 else check
+            for check in row.build(48, **defaults)
+        ]
+
+    runs = []
+    for prec in (53, 700, 3000):
+        with mp.workprec(prec):
+            runs.append(raw())
+    assert runs[0] == runs[1] == runs[2]
 
 
 # ---------------------------------------------------------------- sigma tails
