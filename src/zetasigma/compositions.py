@@ -332,4 +332,6 @@ def parse_composition(s: str) -> Composition:
 
 
 def format_class(c: DualityClass) -> str:
-    return "[" + format_composition(c.rep) + "]"
+    """Text form: the representative's entries in brackets; the empty class
+    is ``[]``."""
+    return "[" + ",".join(str(e) for e in c.rep) + "]"

@@ -9,11 +9,13 @@ every modular result is then promoted to a statement over the rationals:
 * candidate kernel vectors are rebuilt over Q from one elimination modulo
   a prime p: its residues are lifted p-adically (Dixon's method) through
   the pivot block, and each p-adic approximation is tried by rational
-  reconstruction in integer arithmetic.  Each column is scaled by the lcm
-  of its denominators, and ``M @ V == 0`` is established exactly by
-  checking it modulo fresh primes whose product exceeds twice an explicit
-  bound on the entries of ``M @ V``; the ``n - r`` verified independent
-  kernel vectors prove ``rank <= r``.
+  reconstruction in integer arithmetic, output-sensitively: an entry that
+  its column's running denominator already clears costs one product, and
+  only the others run the extended Euclidean algorithm.  Each column is
+  scaled by the lcm of its denominators, and ``M @ V == 0`` is established
+  exactly by checking it modulo fresh primes whose product exceeds twice an
+  explicit bound on the entries of ``M @ V``; the ``n - r`` verified
+  independent kernel vectors prove ``rank <= r``.
 
 The kernel basis returned is a basis of the *saturated* integer lattice
 ``ker_Q(M) ∩ Z^n``: integrality of a rational combination of the reduced
@@ -130,7 +132,17 @@ def _mod_into(A: np.ndarray, p: float) -> np.ndarray:
     return A
 
 
-def _kernel_mod_p_fast(M: np.ndarray, p: int, block: int = 64):
+def _panel_width(n: int) -> int:
+    """Columns per panel when eliminating n columns: a multiple of 16 near
+    sqrt(n).  The rank-1 updates inside the panels cost about m * n * width,
+    and the trailing updates move about m * n^2 / width entries, so the best
+    width grows like sqrt(n).  On the delta matrices and their [A | I]
+    inverses, the fastest of 16, 32, 48 and 64 was 16 at 256 columns, 32 at
+    1024, 48 at 1892 and 64 at 3760."""
+    return 16 * max(1, round(math.sqrt(n) / 16))
+
+
+def _kernel_mod_p_fast(M: np.ndarray, p: int, block: int | None = None):
     """Row-reduce M mod p (p < 2^21) by blocked Gauss-Jordan on exact
     float64 arithmetic.  Returns (rank, pivot columns, pivot rows, X) where
     X is the reduced-echelon block on the non-pivot (free) columns: the
@@ -144,10 +156,12 @@ def _kernel_mod_p_fast(M: np.ndarray, p: int, block: int = 64):
     choice is the first nonzero entry at or below the current row, so the
     result equals that of the plain row reduction ``_kernel_mod_p_int`` in
     ``tests/test_exact_linalg.py``, which the tests compare it against.
+    Panels are ``block`` columns wide, by default ``_panel_width(n)``.
     """
     pf = float(p)
     W = np.asarray(M % p, dtype=np.float64)
     m, n = W.shape
+    block = block or _panel_width(n)
     pivots: list[int] = []
     perm = np.arange(m)
     X = np.empty((m, 0), dtype=np.float64)
@@ -161,66 +175,63 @@ def _kernel_mod_p_fast(M: np.ndarray, p: int, block: int = 64):
         pivs: list[int] = []
         wp = 0
         for j in range(wb):
-            col = np.ascontiguousarray(buf[:, j])
-            _mod_into(col, pf)
-            buf[:, j] = col
             rr = r + wp
             if rr >= m:
                 continue
+            col = _mod_into(buf[:, j].copy(), pf)
             nz = np.flatnonzero(col[rr:])
             if nz.size == 0:
                 continue
             i0 = rr + int(nz[0])
             if i0 != rr:
-                perm[[rr, i0]] = perm[[i0, rr]]
-                W[[rr, i0]] = W[[i0, rr]]
-                buf[[rr, i0]] = buf[[i0, rr]]
-                F[[rr, i0]] = F[[i0, rr]]
-                if X.shape[1]:
-                    X[[rr, i0]] = X[[i0, rr]]
-                col = buf[:, j].copy()
+                for a in (perm, W, buf, F, X, col):
+                    a[[rr, i0]] = a[[i0, rr]]
             piv = int(col[rr])
-            row = buf[rr]
-            _mod_into(row, pf)
+            # row rr is exactly 0.0 in the panel columns before j, and column
+            # j is not read again (a free column is reduced from buf below),
+            # so the update only touches columns j+1:; np.remainder, exact on
+            # these integers, costs less than _mod_into on a short row
+            row = buf[rr, j + 1 :]
+            np.remainder(row, pf, out=row)
             row *= float(pow(piv, p - 2, p))
-            _mod_into(row, pf)
-            fcol = col
-            fcol[rr] = 0.0
-            F[:, wp] = fcol
-            buf -= fcol[:, None] * buf[rr]
+            np.remainder(row, pf, out=row)
+            col[rr] = 0.0
+            F[:, wp] = col
+            buf[:, j + 1 :] -= col[:, None] * row
             pivs.append(piv)
             pivots.append(c0 + j)
             wp += 1
         if wp:
             pr = np.arange(r, r + wp)
             G = F[pr, :wp].astype(np.int64)
-            lam = [[0] * wp for _ in range(wp)]
+            # lower-triangular lam: row i is (e_i - G[i, :i] @ lam[:i]) / pivs[i]
+            lam = np.zeros((wp, wp), dtype=np.int64)
             for i in range(wp):
-                row = [0] * wp
+                row = -(G[i, :i] @ lam[:i]) % p
                 row[i] = 1
-                for jj in range(i):
-                    g = int(G[i, jj])
-                    if g:
-                        lrow = lam[jj]
-                        for kk in range(jj + 1):
-                            row[kk] = (row[kk] - g * lrow[kk]) % p
-                inv = pow(pivs[i], p - 2, p)
-                lam[i] = [x * inv % p for x in row]
-            lam_np = np.array(lam, dtype=np.int64)
-            lam2 = (lam_np - np.triu(G, 1) @ lam_np) % p
-            Ft = _mod_into(F[:, :wp] @ lam_np.astype(np.float64), pf)
+                lam[i] = row * pow(pivs[i], p - 2, p) % p
+            lam2 = (lam - np.triu(G, 1) @ lam) % p
+            Ft = _mod_into(F[:, :wp] @ lam.astype(np.float64), pf)
             Ft[pr] = ((np.eye(wp, dtype=np.int64) - lam2) % p).astype(np.float64)
             chunk = max(1, (1 << 24) // max(m, 1))
             if c1 < n:
                 Pold = _mod_into(W[pr, c1:], pf)
-                for a in range(0, n - c1, chunk):
-                    W[:, c1 + a : c1 + a + chunk] -= Ft @ Pold[:, a : a + chunk]
+                # columns past the last one nonzero in the pivot rows stay as
+                # they are; in [A | I], those are the columns of I right of
+                # the rows eliminated so far
+                used = np.flatnonzero(Pold.any(axis=0))
+                hi = int(used[-1]) + 1 if used.size else 0
+                for a in range(0, hi, chunk):
+                    b = min(a + chunk, hi)
+                    W[:, c1 + a : c1 + b] -= Ft @ Pold[:, a:b]
             if X.shape[1]:
                 PoldX = _mod_into(X[pr].copy(), pf)
                 X -= Ft @ PoldX
             r += wp
             acc += 1
-            if acc >= 16:
+            # between reductions at most 1024 panel columns of products,
+            # each below p^2 < 2^42, accumulate: the sums stay below 2^52
+            if acc >= 1024 // block:
                 if c1 < n:
                     _mod_into(W[:, c1:], pf)
                 if X.shape[1]:
@@ -301,22 +312,50 @@ def _padic_solutions(Mr: np.ndarray, p: int, pivots, free, X: np.ndarray):
         yield big.tolist(), mod
 
 
-def _ratrec_matrix(big: list[list[int]], mod: int) -> list[list[tuple[int, int]]] | None:
-    """Entrywise rational reconstruction as (num, den) pairs, or None when
-    some entry has none yet."""
-    cache: dict[int, tuple[int, int] | None] = {}
+def _ratrec_matrix(
+    big: list[list[int]], mod: int
+) -> tuple[list[list[tuple[int, int]]], list[int]] | None:
+    """Rational reconstruction of every entry of big modulo mod: the pair
+    (F, L) of the (num, den) pairs _ratrec gives each entry, and the lcm of
+    the denominators of each column; or None when some entry has none yet.
+
+    The result is the entrywise one, but entries of a column mostly share
+    their denominator, so most cost one product and a gcd instead of a
+    Euclid (output-sensitive reconstruction).  For each column the walk
+    keeps d, the lcm of the denominators found so far while it is at most
+    N = sqrt(mod/2), and tries y = x * d in symmetric residues first.  If
+    |y| <= N, then y/d in lowest terms is a pair that _ratrec accepts: d is
+    prime to mod, as every denominator _ratrec returns is (a common factor
+    would divide its numerator too).  And when such a pair exists, _ratrec
+    returns it (Wang's theorem), as the only one: two pairs agree when
+    2 N^2 < mod, which holds for odd mod.  Only when |y| > N does the entry
+    run _ratrec and update d.  The walk goes row by row, so an attempt with
+    too small a modulus usually fails within the first row."""
+    bound = isqrt(mod // 2)
+    half = mod >> 1
+    d = [1] * len(big[0])
+    L = d.copy()
     F = []
     for row in big:
         frow = []
-        for x in row:
-            if x not in cache:
-                cache[x] = _ratrec(x, mod)
-            got = cache[x]
+        for f, x in enumerate(row):
+            df = d[f]
+            y = x * df % mod
+            if y > half:
+                y -= mod
+            if -bound <= y <= bound:
+                g = gcd(y, df)
+                frow.append((y // g, df // g))
+                continue
+            got = _ratrec(x, mod)
             if got is None:
                 return None
             frow.append(got)
+            L[f] = lcm(L[f], got[1])
+            if L[f] <= bound:
+                d[f] = L[f]
         F.append(frow)
-    return F
+    return F, L
 
 
 # ---------------------------------------------------------------------------
@@ -525,10 +564,10 @@ def certified_kernel(mat, *, need_basis: bool = True) -> KernelCertificate:
         free = [c for c in range(n) if c not in pivset]
         Mr = M[list(rows)]
         for big, mod in _padic_solutions(Mr, p, pivots, free, X):
-            F = _ratrec_matrix(big, mod)
-            if F is None:
+            got = _ratrec_matrix(big, mod)
+            if got is None:
                 continue
-            L = [lcm(*(row[f][1] for row in F)) for f in range(t)]
+            F, L = got
             P = [[-num * (L[f] // den) for f, (num, den) in enumerate(row)] for row in F]
             if _verify_product(M, mmax, P, L, pivots, free):
                 basis = _saturate(F, pivots, free, n) if need_basis else None

@@ -261,22 +261,45 @@ def agrees_to_digits(x: ApproxReal, y: ApproxReal, digits: int) -> bool:
 # Exact rational building blocks.
 # ---------------------------------------------------------------------------
 
-_BERNOULLI: list[Fraction] = [Fraction(1)]
+#: B_0, B_2, B_4, ...: the even-index Bernoulli numbers computed so far
+_BERNOULLI_EVEN: list[Fraction] = [Fraction(1)]
+
+
+def _tangent_numbers(n: int) -> list[int]:
+    """[0, T_1, ..., T_n], tan x = sum_k T_k x^(2k-1) / (2k-1)!, by the
+    O(n^2) integer recurrence of Brent and Harvey (2011, "Fast computation of
+    Bernoulli, tangent and secant numbers")."""
+    T = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        T[k] = (k - 1) * T[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+    return T
 
 
 def bernoulli_number(k: int) -> Fraction:
     """B_k with B_1 = -1/2.
+
+    Even indices come from the tangent numbers through
+    B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)).  A table that falls short is
+    at least doubled, so a run of increasing indices costs O(n^2) in all.
 
     >>> bernoulli_number(12)
     Fraction(-691, 2730)
     """
     if k < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    while len(_BERNOULLI) <= k:
-        m = len(_BERNOULLI)
-        s = sum(Fraction(math.comb(m + 1, j)) * _BERNOULLI[j] for j in range(m))
-        _BERNOULLI.append(-s / (m + 1))
-    return _BERNOULLI[k]
+    if k % 2:
+        return Fraction(-1, 2) if k == 1 else Fraction(0)
+    n, have = k // 2, len(_BERNOULLI_EVEN) - 1
+    if n > have:
+        top = max(n, 2 * have)
+        T = _tangent_numbers(top)
+        _BERNOULLI_EVEN.extend(
+            Fraction((-1) ** (j - 1) * 2 * j * T[j], 4**j * (4**j - 1)) for j in range(have + 1, top + 1)
+        )
+    return _BERNOULLI_EVEN[n]
 
 
 @lru_cache(maxsize=None)

@@ -73,6 +73,16 @@ def test_empty_composition_text(capsys):
     assert out.startswith("sigma () at n=0: 1.0 +/- ")
 
 
+def test_empty_class_text(capsys):
+    code, out, _ = run(capsys, "enumerate", "--weight", "0", "--filter", "classes")
+    assert (code, out) == (0, "[]\n")
+    code, out, _ = run(capsys, "delta", "--class", "")
+    assert (code, out) == (0, "delta [] = 1*()\n")
+    code, out, _ = run(capsys, "eval", "--zeta-tail", "", "--digits", "5")
+    assert code == 0
+    assert out.startswith("zeta-tail [] at n=0: 1.0 +/- ")
+
+
 def test_enumerate_bad_filter(capsys):
     with pytest.raises(SystemExit) as e:
         run(capsys, "enumerate", "--weight", "4", "--filter", "bogus")

@@ -3,7 +3,7 @@ machinery, plus the frozen rank tables for alpha and delta."""
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, isqrt, lcm
 
 import numpy as np
 import pytest
@@ -20,6 +20,9 @@ from zetasigma.exact_linalg import (
     _kernel_mod_p_fast,
     _matmul_exact,
     _mul_exact,
+    _panel_width,
+    _ratrec,
+    _ratrec_matrix,
     alpha_matrix,
     certified_kernel,
     class_row_basis,
@@ -210,6 +213,63 @@ def test_certified_kernel_lifting_steps(monkeypatch):
     assert lattices_equal(cert.basis, [_cleared(v) for v in fraction_kernel(LIFTED)])
 
 
+def _ratrec_matrix_entrywise(big, mod):
+    """One _ratrec per distinct entry, row by row: the oracle for the
+    shared column denominators of _ratrec_matrix."""
+    cache = {}
+    F = []
+    for row in big:
+        frow = []
+        for x in row:
+            if x not in cache:
+                cache[x] = _ratrec(x, mod)
+            if cache[x] is None:
+                return None
+            frow.append(cache[x])
+        F.append(frow)
+    return F
+
+
+@st.composite
+def residue_matrices(draw):
+    """(big, p^s): rationals reduced mod p^s, whose column denominators are
+    shared and grow by a factor partway down the column.  Some entries are
+    uniform residues, which usually have no reconstruction, and numerators
+    and denominators reach past sqrt(p^s / 2), where reconstruction fails or
+    finds another fraction."""
+    p = draw(st.sampled_from([3, 101, PRIMES21[0]]))
+    mod = p ** draw(st.integers(1, 6))
+    reach = 2 * isqrt(mod // 2) + 2
+    r, t = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    cols = []
+    for _ in range(t):
+        den0 = draw(st.integers(1, reach))
+        grow_at = draw(st.integers(0, r))
+        factor = draw(st.integers(1, reach))
+        col = []
+        for i in range(r):
+            den = den0 * (factor if i >= grow_at else 1) * draw(st.sampled_from([1, 1, 1, 2, 3]))
+            if draw(st.integers(0, 9)) == 0 or den % p == 0:
+                col.append(draw(st.integers(0, mod - 1)))
+            else:
+                col.append(draw(st.integers(-reach, reach)) * pow(den, -1, mod) % mod)
+        cols.append(col)
+    return [list(row) for row in zip(*cols)], mod
+
+
+@given(residue_matrices())
+def test_ratrec_matrix_matches_entrywise(case):
+    big, mod = case
+    want = _ratrec_matrix_entrywise(big, mod)
+    got = _ratrec_matrix(big, mod)
+    if want is None:
+        assert got is None
+    else:
+        F, L = got
+        assert F == want
+        assert L == [lcm(*(row[f][1] for row in want)) for f in range(len(want[0]))]
+
+
 def test_exact_products():
     rng = np.random.default_rng(7)
     # entries of 26 bits: every slice of the inner dimension holds one term
@@ -294,20 +354,35 @@ def _kernel_mod_p_int(M: np.ndarray, p: int):
     return r, tuple(pivots), X
 
 
+def _panel_edges(width, block=None, suffix=""):
+    """Column counts at the panel edges of a `width`-column eliminator."""
+    return [
+        pytest.param(block, st.integers(1, width), id="one_panel" + suffix),
+        pytest.param(block, st.integers(width + 1, 3 * width + 8), id="several_panels" + suffix),
+        pytest.param(block, st.sampled_from([width + 1, 2 * width + 1]), id="one_column_trailing_panel" + suffix),
+    ]
+
+
+# the default panel width at every column count drawn below
+SMALL_WIDTH = _panel_width(1)
+
+
+def test_panel_width_grows_like_sqrt():
+    assert [_panel_width(n) for n in (1, 256, 575, 576, 1024, 1892, 3760)] == [16, 16, 16, 32, 32, 48, 64]
+
+
 @pytest.mark.parametrize(
-    "n_cols",
-    [
-        pytest.param(st.integers(1, 64), id="one_panel"),
-        pytest.param(st.integers(65, 200), id="several_panels"),
-        pytest.param(st.sampled_from([65, 129]), id="one_column_trailing_panel"),
-    ],
+    "block,n_cols",
+    _panel_edges(SMALL_WIDTH) + _panel_edges(32, 32, "_block32") + _panel_edges(64, 64, "_block64"),
 )
 @given(data=st.data())
-def test_fast_elimination_matches_reference(n_cols, data):
+def test_fast_elimination_matches_reference(block, n_cols, data):
     # the blocked float64 eliminator promises the reference's exact output
     M = data.draw(sparse_matrices_with_repeats(n_cols))
     p = data.draw(st.sampled_from([3, 101, PRIMES21[0]]))
-    r, pivots, rows, X = _kernel_mod_p_fast(M, p)
+    if block is None:
+        assert _panel_width(M.shape[1]) == SMALL_WIDTH
+    r, pivots, rows, X = _kernel_mod_p_fast(M, p, block=block)
     r_ref, pivots_ref, X_ref = _kernel_mod_p_int(M, p)
     assert (r, pivots) == (r_ref, pivots_ref)
     assert np.array_equal(X % p, X_ref % p)

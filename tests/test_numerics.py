@@ -101,6 +101,18 @@ def test_bernoulli_numbers():
     assert num.bernoulli_number(7) == 0
 
 
+def test_bernoulli_numbers_match_fraction_recurrence():
+    # the oracle: sum_{j<=m} C(m+1, j) B_j = 0, solved for B_m in Fractions
+    B = [Fraction(1)]
+    for m in range(1, 201):
+        B.append(-sum(math.comb(m + 1, j) * B[j] for j in range(m)) / (m + 1))
+    # a cold table grown one index at a time, and then at once past it
+    num._BERNOULLI_EVEN[1:] = []
+    assert [num.bernoulli_number(k) for k in range(101)] == B[:101]
+    assert num.bernoulli_number(200) == B[200]
+    assert [num.bernoulli_number(k) for k in range(201)] == B
+
+
 def test_bernoulli_poly_and_power_sum():
     assert num.bernoulli_poly(3, Fraction(2)) == 3
     assert num.power_sum(2, 1, 5) == 30  # 1 + 4 + 9 + 16
