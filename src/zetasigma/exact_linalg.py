@@ -132,17 +132,7 @@ def _mod_into(A: np.ndarray, p: float) -> np.ndarray:
     return A
 
 
-def _panel_width(n: int) -> int:
-    """Columns per panel when eliminating n columns: a multiple of 16 near
-    sqrt(n).  The rank-1 updates inside the panels cost about m * n * width,
-    and the trailing updates move about m * n^2 / width entries, so the best
-    width grows like sqrt(n).  On the delta matrices and their [A | I]
-    inverses, the fastest of 16, 32, 48 and 64 was 16 at 256 columns, 32 at
-    1024, 48 at 1892 and 64 at 3760."""
-    return 16 * max(1, round(math.sqrt(n) / 16))
-
-
-def _kernel_mod_p_fast(M: np.ndarray, p: int, block: int | None = None):
+def _kernel_mod_p_fast(M: np.ndarray, p: int, block: int = 32):
     """Row-reduce M mod p (p < 2^21) by blocked Gauss-Jordan on exact
     float64 arithmetic.  Returns (rank, pivot columns, pivot rows, X) where
     X is the reduced-echelon block on the non-pivot (free) columns: the
@@ -156,12 +146,11 @@ def _kernel_mod_p_fast(M: np.ndarray, p: int, block: int | None = None):
     choice is the first nonzero entry at or below the current row, so the
     result equals that of the plain row reduction ``_kernel_mod_p_int`` in
     ``tests/test_exact_linalg.py``, which the tests compare it against.
-    Panels are ``block`` columns wide, by default ``_panel_width(n)``.
+    Panels are ``block`` columns wide.
     """
     pf = float(p)
     W = np.asarray(M % p, dtype=np.float64)
     m, n = W.shape
-    block = block or _panel_width(n)
     pivots: list[int] = []
     perm = np.arange(m)
     X = np.empty((m, 0), dtype=np.float64)
@@ -187,10 +176,12 @@ def _kernel_mod_p_fast(M: np.ndarray, p: int, block: int | None = None):
                 for a in (perm, W, buf, F, X, col):
                     a[[rr, i0]] = a[[i0, rr]]
             piv = int(col[rr])
-            # row rr is exactly 0.0 in the panel columns before j, and column
-            # j is not read again (a free column is reduced from buf below),
-            # so the update only touches columns j+1:; np.remainder, exact on
-            # these integers, costs less than _mod_into on a short row
+            # the update only touches columns j+1:, as the panel columns up
+            # to j are not read again here: the pivot columns are dropped,
+            # and a free column is = 0 mod p from row rr down, so the update
+            # would add only multiples of p to it before it is reduced into
+            # X below; np.remainder, exact on these
+            # integers, costs less than _mod_into on a short row
             row = buf[rr, j + 1 :]
             np.remainder(row, pf, out=row)
             row *= float(pow(piv, p - 2, p))
@@ -560,6 +551,8 @@ def certified_kernel(mat, *, need_basis: bool = True) -> KernelCertificate:
         t = n - rank
         if t == 0:
             return KernelCertificate(m, n, rank, () if need_basis else None, (p,))
+        if rank == 0:
+            continue  # M is nonzero, so p divides every entry and is unlucky
         pivset = set(pivots)
         free = [c for c in range(n) if c not in pivset]
         Mr = M[list(rows)]

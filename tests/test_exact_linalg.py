@@ -1,6 +1,7 @@
 """Exact integer/rational linear algebra and the certified kernel
 machinery, plus the frozen rank tables for alpha and delta."""
 
+import inspect
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm
@@ -20,7 +21,6 @@ from zetasigma.exact_linalg import (
     _kernel_mod_p_fast,
     _matmul_exact,
     _mul_exact,
-    _panel_width,
     _ratrec,
     _ratrec_matrix,
     alpha_matrix,
@@ -159,6 +159,12 @@ def test_certified_kernel_unlucky_primes():
     # other row, so p0 is unlucky; p1 shows full rank and needs no lifting
     full = certified_kernel([[p0, 1], [0, p0]])
     assert full.rank == 2 and full.primes == (p1,) and full.basis == ()
+    # every entry a multiple of p0: rank 0 mod p0, so p0 is unlucky
+    for rows, basis in (([[p0]], ()), ([[p0, 2 * p0]], ((-2, 1),)), ([[p0], [2 * p0]], ())):
+        zero = certified_kernel(rows)
+        assert zero.rank == 1 and zero.primes == (p1,)
+        assert lattices_equal(zero.basis, basis)
+        assert certified_kernel(rows, need_basis=False).primes == (p1,)
 
 
 @st.composite
@@ -354,34 +360,25 @@ def _kernel_mod_p_int(M: np.ndarray, p: int):
     return r, tuple(pivots), X
 
 
-def _panel_edges(width, block=None, suffix=""):
-    """Column counts at the panel edges of a `width`-column eliminator."""
+def _panel_edges(block, suffix=""):
+    """Column counts at the panel edges of a `block`-column eliminator."""
     return [
-        pytest.param(block, st.integers(1, width), id="one_panel" + suffix),
-        pytest.param(block, st.integers(width + 1, 3 * width + 8), id="several_panels" + suffix),
-        pytest.param(block, st.sampled_from([width + 1, 2 * width + 1]), id="one_column_trailing_panel" + suffix),
+        pytest.param(block, st.integers(1, block), id="one_panel" + suffix),
+        pytest.param(block, st.integers(block + 1, 3 * block + 8), id="several_panels" + suffix),
+        pytest.param(block, st.sampled_from([block + 1, 2 * block + 1]), id="one_column_trailing_panel" + suffix),
     ]
 
 
-# the default panel width at every column count drawn below
-SMALL_WIDTH = _panel_width(1)
+# the eliminator's default panel width
+BLOCK = inspect.signature(_kernel_mod_p_fast).parameters["block"].default
 
 
-def test_panel_width_grows_like_sqrt():
-    assert [_panel_width(n) for n in (1, 256, 575, 576, 1024, 1892, 3760)] == [16, 16, 16, 32, 32, 48, 64]
-
-
-@pytest.mark.parametrize(
-    "block,n_cols",
-    _panel_edges(SMALL_WIDTH) + _panel_edges(32, 32, "_block32") + _panel_edges(64, 64, "_block64"),
-)
+@pytest.mark.parametrize("block,n_cols", _panel_edges(BLOCK) + _panel_edges(64, "_block64"))
 @given(data=st.data())
 def test_fast_elimination_matches_reference(block, n_cols, data):
     # the blocked float64 eliminator promises the reference's exact output
     M = data.draw(sparse_matrices_with_repeats(n_cols))
     p = data.draw(st.sampled_from([3, 101, PRIMES21[0]]))
-    if block is None:
-        assert _panel_width(M.shape[1]) == SMALL_WIDTH
     r, pivots, rows, X = _kernel_mod_p_fast(M, p, block=block)
     r_ref, pivots_ref, X_ref = _kernel_mod_p_int(M, p)
     assert (r, pivots) == (r_ref, pivots_ref)
