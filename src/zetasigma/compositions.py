@@ -127,7 +127,24 @@ def dual(a: Composition) -> Composition:
     """
     if not is_admissible(a):
         raise ValueError(f"dual is defined on admissible compositions only: {a!r}")
-    return from_word(reverse_complement(to_word(a)))
+    return _dual(check_composition(a))
+
+
+def _dual(a: Composition) -> Composition:
+    """:func:`dual` on a tuple already known to be an admissible
+    composition.  Read from the right, each entry e contributes 0 1^(e-1)
+    to the reverse-complemented word, so an entry e >= 2 ends a run of z
+    zeros (one for itself, one per entry 1 just right of it) and gives the
+    entries z + 1, then e - 2 ones."""
+    out: list[int] = []
+    z = 0
+    for e in reversed(a):
+        z += 1
+        if e > 1:
+            out.append(z + 1)
+            out.extend([1] * (e - 2))
+            z = 0
+    return tuple(out)
 
 
 def init_part(a: Composition) -> Composition:
@@ -185,8 +202,7 @@ class DualityClass:
     def of(a: Composition) -> "DualityClass":
         if not is_admissible(a):
             raise ValueError(f"classes exist for admissible compositions only: {a!r}")
-        b = dual(a)
-        return DualityClass(max(tuple(a), b))
+        return _class_of(check_composition(a))
 
     @property
     def weight(self) -> int:
@@ -203,6 +219,12 @@ class DualityClass:
 
     def __str__(self) -> str:
         return format_class(self)
+
+
+def _class_of(a: Composition) -> DualityClass:
+    """:meth:`DualityClass.of` on a tuple already known to be an admissible
+    composition."""
+    return DualityClass(max(a, _dual(a)))
 
 
 def _admissible_words(k: int):

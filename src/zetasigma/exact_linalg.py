@@ -8,14 +8,16 @@ every modular result is then promoted to a statement over the rationals:
   eliminator checks; no pivot minor is checked independently yet;
 * candidate kernel vectors are rebuilt over Q from one elimination modulo
   a prime p: its residues are lifted p-adically (Dixon's method) through
-  the pivot block, and each p-adic approximation is tried by rational
-  reconstruction in integer arithmetic, output-sensitively: an entry that
-  its column's running denominator already clears costs one product, and
-  only the others run the extended Euclidean algorithm.  Each column is
-  scaled by the lcm of its denominators, and ``M @ V == 0`` is established
-  exactly by checking it modulo fresh primes whose product exceeds twice an
-  explicit bound on the entries of ``M @ V``; the ``n - r`` verified
-  independent kernel vectors prove ``rank <= r``.
+  the pivot block, whose inverse mod p is the elimination's own panel
+  transforms replayed, so each prime is eliminated once.  Each p-adic
+  approximation is tried by rational reconstruction in integer arithmetic,
+  output-sensitively: an entry that its column's running denominator
+  already clears costs one product, and only the others run the extended
+  Euclidean algorithm.  Each column is scaled by the lcm of its
+  denominators, and ``M @ V == 0`` is established exactly by checking it
+  modulo fresh primes whose product exceeds twice an explicit bound on the
+  entries of ``M @ V``; the ``n - r`` verified independent kernel vectors
+  prove ``rank <= r``.
 
 The kernel basis returned is a basis of the *saturated* integer lattice
 ``ker_Q(M) ∩ Z^n``: integrality of a rational combination of the reduced
@@ -43,7 +45,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from numbers import Integral
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -134,12 +136,24 @@ def _mod_into(A: np.ndarray, p: float) -> np.ndarray:
 
 def _kernel_mod_p_fast(M: np.ndarray, p: int, block: int = 32):
     """Row-reduce M mod p (p < 2^21) by blocked Gauss-Jordan on exact
-    float64 arithmetic.  Returns (rank, pivot columns, pivot rows, X) where
-    X is the reduced-echelon block on the non-pivot (free) columns: the
-    kernel vector of free column f has 1 at that column and -X[i, f] at
+    float64 arithmetic.  Returns (rank, pivot columns, pivot rows, X, inverse)
+    where X is the reduced-echelon block on the non-pivot (free) columns:
+    the kernel vector of free column f has 1 at that column and -X[i, f] at
     pivot column i.  The pivot rows are the rows of M, in pivot order, that
-    the row swaps brought to the top: M[rows][:, pivots] is invertible mod p
-    and X is its inverse times M[rows][:, free], mod p.
+    the row swaps brought to the top: A = M[rows][:, pivots] is invertible
+    mod p and X is A^-1 M[rows][:, free], mod p.
+
+    ``inverse`` is A^-1 mod p as the elimination's own panel transforms, for
+    :func:`_solve_mod_p`: a list of (i, G), one per panel with pivots, where
+    the panel took pivot rows i, i+1, ... and G (float32, exact as p < 2^24)
+    holds, for each final pivot row, its coefficients on those rows in the
+    panel's update ``W <- W - Ft @ W[pivot rows]``.  A row operation always
+    reads a pivot row of its panel, so the final pivot rows never read any
+    other row: replayed on them alone, the panels map M[rows] to rows whose
+    pivot block is I, and their product is A^-1.  Each panel's Ft is
+    recorded by original row id, as later swaps move the rows below it, and
+    gathered at the final pivot rows at the end: m × r float32 in all while
+    eliminating, r × r after.
 
     Every value is an integer below 2^53, so float64 matmuls are exact and
     run on BLAS; entries stay lazily unreduced between reductions.  Pivot
@@ -154,6 +168,7 @@ def _kernel_mod_p_fast(M: np.ndarray, p: int, block: int = 32):
     pivots: list[int] = []
     perm = np.arange(m)
     X = np.empty((m, 0), dtype=np.float64)
+    records: list[tuple[int, np.ndarray]] = []
     r = 0
     acc = 0  # panel applications since the trailing block was last reduced
     for c0 in range(0, n, block):
@@ -204,17 +219,14 @@ def _kernel_mod_p_fast(M: np.ndarray, p: int, block: int = 32):
             lam2 = (lam - np.triu(G, 1) @ lam) % p
             Ft = _mod_into(F[:, :wp] @ lam.astype(np.float64), pf)
             Ft[pr] = ((np.eye(wp, dtype=np.int64) - lam2) % p).astype(np.float64)
+            rec = np.empty((m, wp), dtype=np.float32)
+            rec[perm] = Ft
+            records.append((r, rec))
             chunk = max(1, (1 << 24) // max(m, 1))
             if c1 < n:
                 Pold = _mod_into(W[pr, c1:], pf)
-                # columns past the last one nonzero in the pivot rows stay as
-                # they are; in [A | I], those are the columns of I right of
-                # the rows eliminated so far
-                used = np.flatnonzero(Pold.any(axis=0))
-                hi = int(used[-1]) + 1 if used.size else 0
-                for a in range(0, hi, chunk):
-                    b = min(a + chunk, hi)
-                    W[:, c1 + a : c1 + b] -= Ft @ Pold[:, a:b]
+                for a in range(0, n - c1, chunk):
+                    W[:, c1 + a : c1 + a + chunk] -= Ft @ Pold[:, a : a + chunk]
             if X.shape[1]:
                 PoldX = _mod_into(X[pr].copy(), pf)
                 X -= Ft @ PoldX
@@ -234,7 +246,31 @@ def _kernel_mod_p_fast(M: np.ndarray, p: int, block: int = 32):
             add = _mod_into(buf[:, fr], pf)
             X = np.concatenate([X, add], axis=1) if X.shape[1] else add
     _mod_into(X, pf)
-    return r, tuple(pivots), tuple(perm[:r].tolist()), X[:r].astype(np.int64)
+    rows = perm[:r]
+    inverse = [(i, rec[rows]) for i, rec in records]
+    return r, tuple(pivots), tuple(rows.tolist()), X[:r].astype(np.int64), inverse
+
+
+def _solve_mod_p(inverse, R: np.ndarray, p: int) -> np.ndarray:
+    """A^-1 R mod p as int64 in [0, p), for the ``inverse`` of A that
+    :func:`_kernel_mod_p_fast` returns and an integer array R (int64 or
+    Python ints) of r rows with entries below 2^53 in magnitude: the panels
+    replayed in order,
+    ``v <- v - G @ (v[i : i + width] mod p)``.
+
+    Between reductions of v at most 1024 columns of products, each below
+    p^2 < 2^42, accumulate, so every partial sum stays below 2^53."""
+    pf = float(p)
+    v = _mod_into(R.astype(np.float64), pf)
+    acc = 0
+    for i, G in inverse:
+        w = G.shape[1]
+        if acc + w > 1024:
+            _mod_into(v, pf)
+            acc = 0
+        v -= G @ _mod_into(v[i : i + w].copy(), pf)
+        acc += w
+    return _mod_into(v, pf).astype(np.int64)
 
 
 def _matmul_exact(A: np.ndarray, B: np.ndarray, amax: int, bmax: int) -> np.ndarray:
@@ -243,7 +279,7 @@ def _matmul_exact(A: np.ndarray, B: np.ndarray, amax: int, bmax: int) -> np.ndar
 
     The products run in float64 on BLAS, over slices of the inner dimension
     short enough that every partial sum stays an integer below 2^53."""
-    Af, Bf = A.astype(np.float64), B.astype(np.float64)
+    Af, Bf = np.asarray(A, dtype=np.float64), np.asarray(B, dtype=np.float64)
     step = ((1 << 53) - 1) // max(amax * bmax, 1)
     k = A.shape[1]
     if step >= k:
@@ -273,42 +309,61 @@ def _mul_exact(A: np.ndarray, Y: np.ndarray, ymax: int) -> np.ndarray:
     return out
 
 
-def _padic_solutions(Mr: np.ndarray, p: int, pivots, free, X: np.ndarray):
-    """Successive approximations (Y mod p^s as lists, p^s) of Y = A^-1 B, for
-    A and B the pivot and free columns of the integer matrix Mr (A invertible
-    mod p) and X = Y mod p: Dixon's p-adic lifting.
+def _padic_rows(words: tuple, base: int):
+    """The rows, as lists of Python ints, of sum_c words[c] * base^c."""
+    for i in range(words[0].shape[0]):
+        row = words[-1][i].tolist()
+        for w in words[-2::-1]:
+            row = [x * base + d for x, d in zip(row, w[i].tolist())]
+        yield row
 
-    The first approximation is X itself; A^-1 mod p is computed only when a
-    second one is asked for.  The last is the first one with p^s > 2 H^2,
-    for H the Hadamard bound of Mr's rows, which bounds every numerator and
-    denominator of Y: from there rational reconstruction returns Y itself."""
-    yield X.tolist(), p
-    r = len(pivots)
+
+def _padic_solutions(Mr: np.ndarray, p: int, pivots, free, X: np.ndarray, inverse):
+    """Successive approximations (rows of Y mod p^s, p^s) of Y = A^-1 B, for
+    A and B the pivot and free columns of the integer matrix Mr (A invertible
+    mod p), X = Y mod p and ``inverse`` the A^-1 mod p of the elimination
+    that gave X (see :func:`_kernel_mod_p_fast`): Dixon's p-adic lifting.
+
+    The first approximation is X itself.  The last is the first one with
+    p^s > 2 H^2, for H the Hadamard bound of Mr's rows, which bounds every
+    numerator and denominator of Y: from there rational reconstruction
+    returns Y itself.  The p-adic digits stay int64, three to a word
+    (p^3 < 2^63), and each approximation's rows become Python ints only as
+    they are read, so a reconstruction that fails in its first row builds
+    one row."""
+    base = p**3
+    words = (X,)
+    yield _padic_rows(words, base), p
     sq = np.square(Mr.astype(np.float64)).sum(axis=1)
     # one spare bit covers the float rounding of the bound
     limit_bits = math.ceil(float(np.log2(sq).sum())) + 2
     if p.bit_length() > limit_bits:
         return
     A, B = Mr[:, list(pivots)], Mr[:, free]
-    _, _, _, Ainv = _kernel_mod_p_fast(np.hstack([A, np.eye(r, dtype=np.int64)]), p)
-    big, mod, y = X.astype(object), p, X
+    mod, y = p, X
     # an int64 residual cannot wrap while |B| < 2^62, as int64 products of
     # A stay below 2^53; wider B starts in Python ints
     res = B if int(np.abs(B).max()) < 1 << 62 else B.astype(object)
+    s = 1
     while mod.bit_length() <= limit_bits:
         res = (res - _mul_exact(A, y, p - 1)) // p
-        y = _matmul_exact(Ainv, (res % p).astype(np.int64), p - 1, p - 1) % p
-        big += y.astype(object) * mod
+        y = _solve_mod_p(inverse, res % p, p)
+        if s % 3:
+            words = words[:-1] + (words[-1] + y * p ** (s % 3),)
+        else:
+            words += (y,)
+        s += 1
         mod *= p
-        yield big.tolist(), mod
+        yield _padic_rows(words, base), mod
 
 
 def _ratrec_matrix(
-    big: list[list[int]], mod: int
+    rows: Iterable[Sequence[int]], mod: int
 ) -> tuple[list[list[tuple[int, int]]], list[int]] | None:
-    """Rational reconstruction of every entry of big modulo mod: the pair
-    (F, L) of the (num, den) pairs _ratrec gives each entry, and the lcm of
-    the denominators of each column; or None when some entry has none yet.
+    """Rational reconstruction of every entry of the integer rows modulo
+    mod: the pair (F, L) of the (num, den) pairs _ratrec gives each entry,
+    and the lcm of the denominators of each column; or None when some entry
+    has none yet.
 
     The result is the entrywise one, but entries of a column mostly share
     their denominator, so most cost one product and a gcd instead of a
@@ -320,14 +375,16 @@ def _ratrec_matrix(
     would divide its numerator too).  And when such a pair exists, _ratrec
     returns it (Wang's theorem), as the only one: two pairs agree when
     2 N^2 < mod, which holds for odd mod.  Only when |y| > N does the entry
-    run _ratrec and update d.  The walk goes row by row, so an attempt with
-    too small a modulus usually fails within the first row."""
+    run _ratrec and update d.  The walk reads the rows in order and stops
+    at the first failure, so an attempt with too small a modulus usually
+    reads only its first row."""
     bound = isqrt(mod // 2)
     half = mod >> 1
-    d = [1] * len(big[0])
-    L = d.copy()
+    d = L = None
     F = []
-    for row in big:
+    for row in rows:
+        if d is None:
+            d, L = [1] * len(row), [1] * len(row)
         frow = []
         for f, x in enumerate(row):
             df = d[f]
@@ -500,15 +557,29 @@ def _verify_product(M, mmax, P, L, pivots, free):
         raise ReconstructionError("verification primes exhausted")
     free_idx = np.array(free, dtype=np.intp)
     piv_idx = np.array(pivots, dtype=np.intp)
-    for q in qs:
-        V = np.zeros((n, t), dtype=np.int64)
-        V[free_idx, np.arange(t)] = np.array([x % q for x in L], dtype=np.int64)
-        if pivots:
-            V[piv_idx, :] = np.array([[x % q for x in row] for row in P], dtype=np.int64)
-        for a in range(0, m, 4096):  # bounds the size of the residue slices
-            C = _matmul_exact(M[a : a + 4096] % q, V, q - 1, q - 1)
-            if np.any(C % q):
-                return False
+    # when every |M| entry is below every q, M needs no reduction and one
+    # float64 copy serves all primes.  P's residues come from one int64 copy
+    # when P fits, else from one Python pass over P per three primes, whose
+    # product stays below 2^63
+    Mf = M.astype(np.float64) if mmax < qs[-1] else None
+    Pw = np.array(P, dtype=np.int64) if vmax < 1 << 63 else None
+    for g in range(0, len(qs), 3):
+        group = qs[g : g + 3]
+        if Pw is None:
+            Q = math.prod(group)
+            Pg = np.array([[x % Q for x in row] for row in P], dtype=np.int64)
+        else:
+            Pg = Pw
+        for q in group:
+            V = np.zeros((n, t), dtype=np.float64)
+            V[free_idx, np.arange(t)] = [x % q for x in L]
+            if pivots:
+                V[piv_idx, :] = Pg % q
+            for a in range(0, m, 4096):  # bounds the size of the residue slices
+                Ma = M[a : a + 4096] % q if Mf is None else Mf[a : a + 4096]
+                C = _matmul_exact(Ma, V, min(mmax, q - 1), q - 1)
+                if np.any(C % q):
+                    return False
     return True
 
 
@@ -547,7 +618,7 @@ def certified_kernel(mat, *, need_basis: bool = True) -> KernelCertificate:
         basis = tuple(tuple(1 if j == f else 0 for j in range(n)) for f in range(n))
         return KernelCertificate(m, n, 0, basis if need_basis else None, ())
     for p in PRIMES21:
-        rank, pivots, rows, X = _kernel_mod_p_fast(M, p)
+        rank, pivots, rows, X, inverse = _kernel_mod_p_fast(M, p)
         t = n - rank
         if t == 0:
             return KernelCertificate(m, n, rank, () if need_basis else None, (p,))
@@ -556,8 +627,8 @@ def certified_kernel(mat, *, need_basis: bool = True) -> KernelCertificate:
         pivset = set(pivots)
         free = [c for c in range(n) if c not in pivset]
         Mr = M[list(rows)]
-        for big, mod in _padic_solutions(Mr, p, pivots, free, X):
-            got = _ratrec_matrix(big, mod)
+        for approx, mod in _padic_solutions(Mr, p, pivots, free, X, inverse):
+            got = _ratrec_matrix(approx, mod)
             if got is None:
                 continue
             F, L = got

@@ -26,12 +26,12 @@ from fractions import Fraction
 from .compositions import (
     Composition,
     DualityClass,
+    _class_of,
     fin_part,
     format_class,
     format_composition,
     init_part,
     is_admissible,
-    mid_part,
     weight,
 )
 
@@ -374,9 +374,10 @@ def alpha(lc: LinComb) -> LinComb:
         if len(c.rep) == 0:
             raise ValueError("alpha is undefined on the empty class")
         a = c.rep
-        return LinComb(
-            (DualityClass.of(p), 1) for p in (init_part(a), mid_part(a), fin_part(a))
-        )
+        fin = fin_part(a)
+        # init, mid = init(fin) and fin of an admissible composition are
+        # admissible compositions, so their classes need no re-checking
+        return LinComb((_class_of(p), 1) for p in (a[:-1], fin[:-1], fin))
 
     for b in lc._terms:
         if not isinstance(b, DualityClass):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -396,6 +397,14 @@ def test_verify_all_script():
     proc = _python(str(ROOT / "scripts" / "verify_all.py"), "--digits", "12", timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "all 16 identities passed" in proc.stderr
+
+
+def test_kernel_stages_script():
+    proc = _python(str(ROOT / "scripts" / "kernel_stages.py"), "--weight", "6", "--basis", timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "delta weight 6: 16 x 10, rank 9, nullity 1" in proc.stdout
+    for stage in ("elimination", "lifting", "reconstruction", "verification", "saturation"):
+        assert re.search(rf"^{stage} +\d+\.\d{{3}} s$", proc.stdout, re.M), stage
 
 
 def test_weight8_report_script():

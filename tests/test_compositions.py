@@ -85,6 +85,13 @@ def test_self_dual_small():
     assert dual(()) == ()
 
 
+def test_dual_is_the_reverse_complemented_word():
+    # dual reads the entries off directly; the word definition is the oracle
+    for k in range(0, 15):
+        for a in enumerate_compositions(k, "admissible"):
+            assert dual(a) == from_word(reverse_complement(to_word(a))), a
+
+
 def test_dual_rejects_inadmissible():
     with pytest.raises(ValueError):
         dual((1, 2))

@@ -23,6 +23,7 @@ from zetasigma.exact_linalg import (
     _mul_exact,
     _ratrec,
     _ratrec_matrix,
+    _solve_mod_p,
     alpha_matrix,
     certified_kernel,
     class_row_basis,
@@ -219,6 +220,20 @@ def test_certified_kernel_lifting_steps(monkeypatch):
     assert lattices_equal(cert.basis, [_cleared(v) for v in fraction_kernel(LIFTED)])
 
 
+def test_certified_kernel_one_elimination_per_prime(monkeypatch):
+    # lifting replays the panels of the elimination, so no second one runs
+    primes = []
+    eliminate = exact_linalg._kernel_mod_p_fast
+
+    def spy(M, p, *args, **kwargs):
+        primes.append(p)
+        return eliminate(M, p, *args, **kwargs)
+
+    monkeypatch.setattr(exact_linalg, "_kernel_mod_p_fast", spy)
+    assert certified_kernel(LIFTED).primes == (PRIMES21[0],)
+    assert primes == [PRIMES21[0]]
+
+
 def _ratrec_matrix_entrywise(big, mod):
     """One _ratrec per distinct entry, row by row: the oracle for the
     shared column denominators of _ratrec_matrix."""
@@ -379,13 +394,45 @@ def test_fast_elimination_matches_reference(block, n_cols, data):
     # the blocked float64 eliminator promises the reference's exact output
     M = data.draw(sparse_matrices_with_repeats(n_cols))
     p = data.draw(st.sampled_from([3, 101, PRIMES21[0]]))
-    r, pivots, rows, X = _kernel_mod_p_fast(M, p, block=block)
+    r, pivots, rows, X, _ = _kernel_mod_p_fast(M, p, block=block)
     r_ref, pivots_ref, X_ref = _kernel_mod_p_int(M, p)
     assert (r, pivots) == (r_ref, pivots_ref)
     assert np.array_equal(X % p, X_ref % p)
     # the pivot rows carry the rank: their pivot block is invertible mod p
     assert len(set(rows)) == r
     assert _kernel_mod_p_int(M[list(rows)][:, list(pivots)], p)[0] == r
+
+
+@pytest.mark.parametrize("block,n_cols", _panel_edges(BLOCK) + _panel_edges(64, "_block64"))
+@given(data=st.data())
+def test_replayed_inverse_solves_pivot_block(block, n_cols, data):
+    # the elimination's recorded panels, replayed, are A^-1 mod p for its
+    # pivot block A = M[rows][:, pivots]
+    M = data.draw(sparse_matrices_with_repeats(n_cols))
+    p = data.draw(st.sampled_from([3, 101, PRIMES21[0]]))
+    r, pivots, rows, _, inverse = _kernel_mod_p_fast(M, p, block=block)
+    t = data.draw(st.integers(1, 3))
+    R = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=t, max_size=t), min_size=r, max_size=r))
+    y = _solve_mod_p(inverse, np.array(R, dtype=np.int64).reshape(r, t), p)
+    assert y.shape == (r, t) and ((0 <= y) & (y < p)).all()
+    # A @ y == R (mod p), in Python ints
+    A = M[list(rows)][:, list(pivots)].tolist()
+    for i, row in enumerate(A):
+        for j, col in enumerate(y.T.tolist()):
+            assert sum(a * x for a, x in zip(row, col)) % p == R[i][j]
+
+
+def test_replayed_inverse_past_a_reduction():
+    # a rank above 1024 makes the replay reduce its accumulator between panels
+    rng = np.random.default_rng(3)
+    M = rng.integers(-2, 3, size=(1100, 1030))
+    p = PRIMES21[0]
+    r, pivots, rows, _, inverse = _kernel_mod_p_fast(M, p)
+    assert r == 1030
+    R = rng.integers(0, p, size=(r, 2))
+    y = _solve_mod_p(inverse, R, p)
+    A = M[list(rows)][:, list(pivots)]
+    assert (_matmul_exact(A, y, 2, p - 1) % p == R).all()
 
 
 # ------------------------------------------------------- fraction toolkit

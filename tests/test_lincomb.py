@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from zetasigma.compositions import DualityClass, enumerate_compositions
+from zetasigma.compositions import DualityClass, enumerate_compositions, fin_part, init_part, mid_part
 from zetasigma.lincomb import (
     LinComb,
     Poly,
@@ -184,6 +184,16 @@ def test_alpha_frozen_values():
         got = alpha(one(C((2,) * m)))
         want = one(C((2,) * (m - 1))).scale(2) + one(C((2,) * (m - 2)))
         assert got == want
+
+
+def test_alpha_matches_checked_class_builder():
+    # alpha builds the classes of init, mid and fin without re-checking them;
+    # the checked DualityClass.of gives the same images, term for term
+    for k in range(1, 15):
+        for c in enumerate_compositions(k, "classes"):
+            a = c.rep
+            want = LinComb((DualityClass.of(p), 1) for p in (init_part(a), mid_part(a), fin_part(a)))
+            assert list(alpha(LinComb.single(c)).items()) == list(want.items())
 
 
 def test_alpha_rejects_empty_class():
