@@ -6,8 +6,10 @@ package runs unchanged, and charges every moment to the innermost stage
 running then:
 
   build           delta_matrix / alpha_matrix
-  elimination     _kernel_mod_p_fast, once per prime tried
-  lifting         _padic_solutions, and the Python-int rows it hands out
+  elimination     _kernel_mod_p_fast, once per prime tried: rank, pivots
+                  and the replayable A^-1 mod p
+  lifting         _padic_solutions: every p-adic digit, the first included,
+                  and the Python-int rows it hands out
   reconstruction  _ratrec_matrix
   verification    _verify_product
   saturation      _saturate (with --basis only)

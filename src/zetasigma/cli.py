@@ -17,6 +17,7 @@ All configuration is via flags; no environment variables are consulted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -72,8 +73,10 @@ def _lincomb_text(lc: LinComb) -> str:
     return " + ".join(parts)
 
 
-def _digit_gate(digits: int, extended: bool) -> None:
-    cap = num.PRECISION.cap if extended else _STANDARD_DIGIT_CAP
+def _digit_gate(digits: int, extended: bool, guard: int = 0) -> None:
+    """Gate --digits at the standard cap, or with --extended at the library
+    cap less the ``guard`` digits the command adds to its request."""
+    cap = num.PRECISION.cap - guard if extended else _STANDARD_DIGIT_CAP
     if digits < 1 or digits > cap:
         raise ValueError(
             f"--digits must be in 1..{cap}"
@@ -235,7 +238,7 @@ def _parse_params(pairs) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    _digit_gate(args.digits, args.extended)
+    _digit_gate(args.digits, args.extended, identities._GUARD_DIGITS)
     params = _parse_params(args.params)
     checks = identities.run(args.identity, args.digits, params)
     passed = all(c["passed"] for c in checks)
@@ -288,6 +291,7 @@ def _cmd_delta_matrix(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="zetasigma",

@@ -7,9 +7,9 @@ every modular result is then promoted to a statement over the rationals:
   property test comparing the blocked eliminator with a plain reference
   eliminator checks; no pivot minor is checked independently yet;
 * candidate kernel vectors are rebuilt over Q from one elimination modulo
-  a prime p: its residues are lifted p-adically (Dixon's method) through
-  the pivot block, whose inverse mod p is the elimination's own panel
-  transforms replayed, so each prime is eliminated once.  Each p-adic
+  a prime p, by p-adic lifting (Dixon's method) through the pivot block:
+  every digit, the first included, replays the elimination's own panel
+  transforms, which are the block's inverse mod p.  Each p-adic
   approximation is tried by rational reconstruction in integer arithmetic,
   output-sensitively: an entry that its column's running denominator
   already clears costs one product, and only the others run the extended
@@ -136,12 +136,9 @@ def _mod_into(A: np.ndarray, p: float) -> np.ndarray:
 
 def _kernel_mod_p_fast(M: np.ndarray, p: int, block: int = 32):
     """Row-reduce M mod p (p < 2^21) by blocked Gauss-Jordan on exact
-    float64 arithmetic.  Returns (rank, pivot columns, pivot rows, X, inverse)
-    where X is the reduced-echelon block on the non-pivot (free) columns:
-    the kernel vector of free column f has 1 at that column and -X[i, f] at
-    pivot column i.  The pivot rows are the rows of M, in pivot order, that
-    the row swaps brought to the top: A = M[rows][:, pivots] is invertible
-    mod p and X is A^-1 M[rows][:, free], mod p.
+    float64 arithmetic.  Returns (rank, pivot columns, pivot rows, inverse).
+    The pivot rows are the rows of M, in pivot order, that the row swaps
+    brought to the top: A = M[rows][:, pivots] is invertible mod p.
 
     ``inverse`` is A^-1 mod p as the elimination's own panel transforms, for
     :func:`_solve_mod_p`: a list of (i, G), one per panel with pivots, where
@@ -167,35 +164,28 @@ def _kernel_mod_p_fast(M: np.ndarray, p: int, block: int = 32):
     m, n = W.shape
     pivots: list[int] = []
     perm = np.arange(m)
-    X = np.empty((m, 0), dtype=np.float64)
     records: list[tuple[int, np.ndarray]] = []
     r = 0
     acc = 0  # panel applications since the trailing block was last reduced
     for c0 in range(0, n, block):
         c1 = min(c0 + block, n)
-        wb = c1 - c0
         buf = _mod_into(W[:, c0:c1].copy(), pf)
-        F = np.zeros((m, wb), dtype=np.float64)
+        F = np.zeros((m, c1 - c0), dtype=np.float64)
         pivs: list[int] = []
         wp = 0
-        for j in range(wb):
+        for j in range(c1 - c0):
             rr = r + wp
-            if rr >= m:
-                continue
             col = _mod_into(buf[:, j].copy(), pf)
-            nz = np.flatnonzero(col[rr:])
+            nz = np.flatnonzero(col[rr:])  # empty once every row holds a pivot
             if nz.size == 0:
                 continue
             i0 = rr + int(nz[0])
             if i0 != rr:
-                for a in (perm, W, buf, F, X, col):
+                for a in (perm, W, buf, F, col):
                     a[[rr, i0]] = a[[i0, rr]]
             piv = int(col[rr])
             # the update only touches columns j+1:, as the panel columns up
-            # to j are not read again here: the pivot columns are dropped,
-            # and a free column is = 0 mod p from row rr down, so the update
-            # would add only multiples of p to it before it is reduced into
-            # X below; np.remainder, exact on these
+            # to j are not read again; np.remainder, exact on these
             # integers, costs less than _mod_into on a short row
             row = buf[rr, j + 1 :]
             np.remainder(row, pf, out=row)
@@ -227,28 +217,16 @@ def _kernel_mod_p_fast(M: np.ndarray, p: int, block: int = 32):
                 Pold = _mod_into(W[pr, c1:], pf)
                 for a in range(0, n - c1, chunk):
                     W[:, c1 + a : c1 + a + chunk] -= Ft @ Pold[:, a : a + chunk]
-            if X.shape[1]:
-                PoldX = _mod_into(X[pr].copy(), pf)
-                X -= Ft @ PoldX
             r += wp
             acc += 1
             # between reductions at most 1024 panel columns of products,
             # each below p^2 < 2^42, accumulate: the sums stay below 2^52
-            if acc >= 1024 // block:
-                if c1 < n:
-                    _mod_into(W[:, c1:], pf)
-                if X.shape[1]:
-                    _mod_into(X, pf)
+            if acc >= 1024 // block and c1 < n:
+                _mod_into(W[:, c1:], pf)
                 acc = 0
-        pivset = set(pivots)
-        fr = [j for j in range(wb) if c0 + j not in pivset]
-        if fr:
-            add = _mod_into(buf[:, fr], pf)
-            X = np.concatenate([X, add], axis=1) if X.shape[1] else add
-    _mod_into(X, pf)
     rows = perm[:r]
     inverse = [(i, rec[rows]) for i, rec in records]
-    return r, tuple(pivots), tuple(rows.tolist()), X[:r].astype(np.int64), inverse
+    return r, tuple(pivots), tuple(rows.tolist()), inverse
 
 
 def _solve_mod_p(inverse, R: np.ndarray, p: int) -> np.ndarray:
@@ -318,35 +296,30 @@ def _padic_rows(words: tuple, base: int):
         yield row
 
 
-def _padic_solutions(Mr: np.ndarray, p: int, pivots, free, X: np.ndarray, inverse):
+def _padic_solutions(Mr: np.ndarray, p: int, pivots, free, inverse):
     """Successive approximations (rows of Y mod p^s, p^s) of Y = A^-1 B, for
     A and B the pivot and free columns of the integer matrix Mr (A invertible
-    mod p), X = Y mod p and ``inverse`` the A^-1 mod p of the elimination
-    that gave X (see :func:`_kernel_mod_p_fast`): Dixon's p-adic lifting.
+    mod p) and ``inverse`` the A^-1 mod p of its elimination (see
+    :func:`_kernel_mod_p_fast`): Dixon's p-adic lifting.
 
-    The first approximation is X itself.  The last is the first one with
-    p^s > 2 H^2, for H the Hadamard bound of Mr's rows, which bounds every
-    numerator and denominator of Y: from there rational reconstruction
-    returns Y itself.  The p-adic digits stay int64, three to a word
-    (p^3 < 2^63), and each approximation's rows become Python ints only as
-    they are read, so a reconstruction that fails in its first row builds
-    one row."""
+    Each digit, the first included, is one replay of ``inverse`` on the
+    residual, B at first.  Lifting stops at the first p^s > 2 H^2, for H the
+    Hadamard bound of Mr's rows, which bounds every numerator and denominator
+    of Y: from there rational reconstruction returns Y itself.  The digits
+    stay int64, three to a word (p^3 < 2^63), and each approximation's rows
+    become Python ints only as they are read, so a reconstruction that fails
+    in its first row builds one row."""
     base = p**3
-    words = (X,)
-    yield _padic_rows(words, base), p
     sq = np.square(Mr.astype(np.float64)).sum(axis=1)
     # one spare bit covers the float rounding of the bound
     limit_bits = math.ceil(float(np.log2(sq).sum())) + 2
-    if p.bit_length() > limit_bits:
-        return
     A, B = Mr[:, list(pivots)], Mr[:, free]
-    mod, y = p, X
     # an int64 residual cannot wrap while |B| < 2^62, as int64 products of
     # A stay below 2^53; wider B starts in Python ints
     res = B if int(np.abs(B).max()) < 1 << 62 else B.astype(object)
-    s = 1
-    while mod.bit_length() <= limit_bits:
-        res = (res - _mul_exact(A, y, p - 1)) // p
+    words: tuple = ()
+    s, mod = 0, 1
+    while True:
         y = _solve_mod_p(inverse, res % p, p)
         if s % 3:
             words = words[:-1] + (words[-1] + y * p ** (s % 3),)
@@ -355,6 +328,9 @@ def _padic_solutions(Mr: np.ndarray, p: int, pivots, free, X: np.ndarray, invers
         s += 1
         mod *= p
         yield _padic_rows(words, base), mod
+        if mod.bit_length() > limit_bits:
+            return
+        res = (res - _mul_exact(A, y, p - 1)) // p
 
 
 def _ratrec_matrix(
@@ -618,16 +594,15 @@ def certified_kernel(mat, *, need_basis: bool = True) -> KernelCertificate:
         basis = tuple(tuple(1 if j == f else 0 for j in range(n)) for f in range(n))
         return KernelCertificate(m, n, 0, basis if need_basis else None, ())
     for p in PRIMES21:
-        rank, pivots, rows, X, inverse = _kernel_mod_p_fast(M, p)
+        rank, pivots, rows, inverse = _kernel_mod_p_fast(M, p)
         t = n - rank
         if t == 0:
             return KernelCertificate(m, n, rank, () if need_basis else None, (p,))
         if rank == 0:
             continue  # M is nonzero, so p divides every entry and is unlucky
-        pivset = set(pivots)
-        free = [c for c in range(n) if c not in pivset]
+        free = sorted(set(range(n)).difference(pivots))
         Mr = M[list(rows)]
-        for approx, mod in _padic_solutions(Mr, p, pivots, free, X, inverse):
+        for approx, mod in _padic_solutions(Mr, p, pivots, free, inverse):
             got = _ratrec_matrix(approx, mod)
             if got is None:
                 continue

@@ -433,11 +433,6 @@ def hurwitz_rational(s: int, x, digits=None) -> tuple:
     return _hurwitz_fraction(int(s), Fraction(x), d)
 
 
-def _zeta_int_enclosure(s: int, exp10: int) -> tuple:
-    """(value, bound) for zeta(s), odd or even s >= 2, fully rational route."""
-    return _hurwitz_fraction(s, Fraction(1), exp10)
-
-
 def zeta_int(s: int, digits=None) -> ApproxReal:
     """zeta(s) for integer s >= 2; even s goes through exact rational * pi^s.
 
@@ -453,7 +448,7 @@ def zeta_int(s: int, digits=None) -> ApproxReal:
             c = zeta_even_over_pi(s)
             pad = d + 8 + int(0.5 * s) + 2
             return ApproxReal.from_fraction(c) * _pi_ar(pad).pow_int(s)
-        v, b = _zeta_int_enclosure(s, d + 8)
+        v, b = _hurwitz_fraction(s, Fraction(1), d + 8)
         return ApproxReal.from_enclosure(v, b)
 
 
@@ -478,10 +473,6 @@ def L_chi3(s: int, digits=None) -> ApproxReal:
 # ---------------------------------------------------------------------------
 # Constant-basis coefficient vectors.
 # ---------------------------------------------------------------------------
-
-
-def _fr_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 @dataclass(frozen=True)
@@ -522,10 +513,6 @@ class ConstantBasisVector:
     def L_dict(self) -> dict:
         return dict(self.L_even)
 
-    @property
-    def basis_length(self) -> int:
-        return self.k - 1
-
     def __add__(self, other: "ConstantBasisVector") -> "ConstantBasisVector":
         if self.k != other.k:
             raise ValueError("weights differ")
@@ -556,7 +543,7 @@ class ConstantBasisVector:
             pi_ar = _pi_ar(e10 + int(0.5 * k) + 4)
             out = ApproxReal(0, 0)
             for r, c in self.zeta_odd:
-                v, b = _zeta_int_enclosure(2 * r + 1, e10)
+                v, b = _hurwitz_fraction(2 * r + 1, Fraction(1), e10)
                 out = out + ApproxReal.from_fraction(c) * pi_ar.pow_int(k - 1 - 2 * r) * ApproxReal.from_enclosure(v, b)
             if self.L_even:
                 s3 = _sqrt3_ar()
@@ -570,20 +557,6 @@ class ConstantBasisVector:
                         * ApproxReal.from_enclosure(v, b)
                     )
             return out
-
-    def to_json_obj(self) -> dict:
-        return {
-            "zeta_odd": {str(r): _fr_str(c) for r, c in self.zeta_odd},
-            "L_even": {str(r): _fr_str(c) for r, c in self.L_even},
-        }
-
-    @staticmethod
-    def from_json_obj(obj: dict, k: int) -> "ConstantBasisVector":
-        return ConstantBasisVector.build(
-            k,
-            {int(r): Fraction(c) for r, c in obj.get("zeta_odd", {}).items()},
-            {int(r): Fraction(c) for r, c in obj.get("L_even", {}).items()},
-        )
 
 
 def th7_coeffs(a: int, b: int) -> ConstantBasisVector:
@@ -904,13 +877,7 @@ def sigma_tail(a, n: int = 0, digits=None) -> ApproxReal:
     >>> abs(float(sigma_tail((2,), 0, 20)) - 0.5483113556160755) < 1e-15
     True
     """
-    a = check_composition(a)
-    n = int(n)
-    if n < 0:
-        raise ValueError("need n >= 0")
-    d = PRECISION.check(digits)
-    B, out = _descend((a,), n, d)
-    return _enclosure(B, *out[a])
+    return evaluate(LinComb.single(check_composition(a)), n, digits)
 
 
 def zeta_sym_tail(c, n: int = 0, digits=None) -> ApproxReal:
@@ -925,12 +892,7 @@ def zeta_sym_tail(c, n: int = 0, digits=None) -> ApproxReal:
     """
     if not isinstance(c, DualityClass):
         c = DualityClass.of(check_composition(c))
-    n = int(n)
-    if n < 0:
-        raise ValueError("need n >= 0")
-    d = PRECISION.check(digits)
-    B, out = _descend((c,), n, d)
-    return _enclosure(B, *out[c])
+    return evaluate(LinComb.single(c), n, digits)
 
 
 def evaluate(lc: LinComb, n: int = 0, digits=None) -> ApproxReal:

@@ -200,6 +200,17 @@ def test_verify_euler(capsys):
     assert "result: PASS" in out
 
 
+def test_verify_digit_ceiling(capsys):
+    # verify adds guard digits to its request, so its ceiling sits that far
+    # below the library cap: 192 runs, and 193 is a usage error naming 192
+    code, out, _ = run(capsys, "verify", "--identity", "euler", "--extended", "--digits", "192")
+    assert code == 0
+    assert "result: PASS" in out
+    code, _, err = run(capsys, "verify", "--identity", "euler", "--extended", "--digits", "193")
+    assert code == 2
+    assert "192" in err and "208" not in err
+
+
 @pytest.mark.parametrize("identity", sorted(IDENTITIES))
 def test_verify_registry_defaults(identity, capsys):
     code, out, _ = run(

@@ -21,6 +21,7 @@ from zetasigma.exact_linalg import (
     _kernel_mod_p_fast,
     _matmul_exact,
     _mul_exact,
+    _padic_solutions,
     _ratrec,
     _ratrec_matrix,
     _solve_mod_p,
@@ -394,13 +395,21 @@ def test_fast_elimination_matches_reference(block, n_cols, data):
     # the blocked float64 eliminator promises the reference's exact output
     M = data.draw(sparse_matrices_with_repeats(n_cols))
     p = data.draw(st.sampled_from([3, 101, PRIMES21[0]]))
-    r, pivots, rows, X, _ = _kernel_mod_p_fast(M, p, block=block)
+    r, pivots, rows, inverse = _kernel_mod_p_fast(M, p, block=block)
     r_ref, pivots_ref, X_ref = _kernel_mod_p_int(M, p)
     assert (r, pivots) == (r_ref, pivots_ref)
-    assert np.array_equal(X % p, X_ref % p)
     # the pivot rows carry the rank: their pivot block is invertible mod p
     assert len(set(rows)) == r
     assert _kernel_mod_p_int(M[list(rows)][:, list(pivots)], p)[0] == r
+    # the reduced block on the free columns is one replay of the panels
+    Mr = M[list(rows)]
+    free = sorted(set(range(M.shape[1])).difference(pivots))
+    X = _solve_mod_p(inverse, Mr[:, free] % p, p)
+    assert np.array_equal(X, X_ref % p)
+    # and it is the first p-adic digit
+    if r and free:
+        approx, mod = next(_padic_solutions(Mr, p, pivots, free, inverse))
+        assert mod == p and list(approx) == (X_ref % p).tolist()
 
 
 @pytest.mark.parametrize("block,n_cols", _panel_edges(BLOCK) + _panel_edges(64, "_block64"))
@@ -410,7 +419,7 @@ def test_replayed_inverse_solves_pivot_block(block, n_cols, data):
     # pivot block A = M[rows][:, pivots]
     M = data.draw(sparse_matrices_with_repeats(n_cols))
     p = data.draw(st.sampled_from([3, 101, PRIMES21[0]]))
-    r, pivots, rows, _, inverse = _kernel_mod_p_fast(M, p, block=block)
+    r, pivots, rows, inverse = _kernel_mod_p_fast(M, p, block=block)
     t = data.draw(st.integers(1, 3))
     R = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=t, max_size=t), min_size=r, max_size=r))
     y = _solve_mod_p(inverse, np.array(R, dtype=np.int64).reshape(r, t), p)
@@ -427,7 +436,7 @@ def test_replayed_inverse_past_a_reduction():
     rng = np.random.default_rng(3)
     M = rng.integers(-2, 3, size=(1100, 1030))
     p = PRIMES21[0]
-    r, pivots, rows, _, inverse = _kernel_mod_p_fast(M, p)
+    r, pivots, rows, inverse = _kernel_mod_p_fast(M, p)
     assert r == 1030
     R = rng.integers(0, p, size=(r, 2))
     y = _solve_mod_p(inverse, R, p)

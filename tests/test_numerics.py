@@ -3,7 +3,6 @@ rational constant vectors, the independent oracles, and the frozen
 reference digits."""
 
 import itertools
-import json
 import math
 import random
 from fractions import Fraction
@@ -495,7 +494,6 @@ def test_weight5_matrix_contractions():
 
 def test_basis_vector_build_and_algebra():
     v = num.ConstantBasisVector.build(5, {1: Fraction(11, 9)}, {1: Fraction(-1, 3)})
-    assert v.basis_length == 4
     assert v.zeta_dict() == {1: Fraction(11, 9)}
     w = v + v.scale(-1)
     assert w.zeta_dict() == {} and w.L_dict() == {}
@@ -504,14 +502,6 @@ def test_basis_vector_build_and_algebra():
         num.ConstantBasisVector.build(4, {}, {})
     with pytest.raises(ValueError):
         num.ConstantBasisVector.build(5, {3: 1}, {})
-
-
-def test_basis_vector_json_roundtrip():
-    v = num.th7_coeffs(1, 0)
-    obj = v.to_json_obj()
-    assert obj == {"zeta_odd": {"1": "11/9"}, "L_even": {"1": "-1/3"}}
-    assert json.loads(json.dumps(obj)) == obj
-    assert num.ConstantBasisVector.from_json_obj(obj, 3) == v
 
 
 def test_sigma_coeff_families_frozen():
