@@ -29,7 +29,11 @@ vectors of a saturated lattice are automatically primitive.
 Also provided: fraction Gauss-Jordan elimination, kernels and solvers over
 Q, exact determinants by fraction-free elimination, fraction-free row-space
 membership, and builders for the integer matrices of the maps alpha and
-delta on the class basis.
+delta on the class basis.  The builders hold compositions as binary words in
+int64 arrays, so init, fin, duality and the inverse of mu are bit
+operations, and they build delta from alpha one weight at a time,
+D_k = Π_k · diag(D_0, …, D_{k-1}) · A_k; ``delta`` and ``lincomb`` compute
+the same maps on tuple-keyed linear combinations.
 
 >>> certified_kernel([[1, 2, 3], [2, 4, 6]]).rank
 1
@@ -49,10 +53,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .compositions import enumerate_compositions
-from .delta import delta_class, delta_explicit
-from .lincomb import LinComb, alpha
-from .stuffle import stuffle as _stuffle_fn
+from .compositions import MAX_WEIGHT
 
 
 class ReconstructionError(RuntimeError):
@@ -778,55 +779,124 @@ def lattices_equal(basis_a, basis_b) -> bool:
 
 # ---------------------------------------------------------------------------
 # matrices of alpha and delta on the class basis
+#
+# A composition of weight w is handled as its word (``compositions.to_word``)
+# read as a w-bit number, first letter most significant.  An admissible word
+# of weight w >= 2 is 0 m 1 with m a (w-2)-bit number, and m is the
+# composition's row: descending lexicographic order on tuples is ascending
+# order on words.  The empty composition is row 0 of weight 0.
 
 
-def matrix_from_columns(columns, row_basis) -> np.ndarray:
-    """Integer matrix whose j-th column lists the coefficients of
-    ``columns[j]`` (a LinComb) on ``row_basis``."""
-    index = {b: i for i, b in enumerate(row_basis)}
-    A = np.zeros((len(index), len(columns)), dtype=np.int64)
-    for j, lc in enumerate(columns):
-        _fill_column(A, j, index, lc)
-    return A
+def _bit_length(x: np.ndarray) -> np.ndarray:
+    """Elementwise ``int.bit_length`` of a non-negative int64 array."""
+    n = np.zeros(x.shape, dtype=np.int64)
+    for s in (32, 16, 8, 4, 2, 1):
+        big = x >= (1 << s)
+        x = np.where(big, x >> s, x)
+        n += s * big
+    return n + (x > 0)
 
 
-def _fill_column(A: np.ndarray, j: int, index: dict, lc) -> None:
-    """Write the coefficients of ``lc`` into column j of A at the rows
-    ``index`` gives its basis elements, in one assignment."""
-    A[[index[b] for b, _ in lc.items()], j] = [int(c) for _, c in lc.items()]
+def _init_words(W: np.ndarray, L: np.ndarray):
+    """init on words (W, L) of lengths L: drop the final run 0^(e-1) 1."""
+    V = W >> 1
+    e = np.where(V > 0, _bit_length(V & -V), L)
+    return W >> e, L - e
 
 
-def delta_matrix(k: int) -> np.ndarray:
-    """Matrix of delta at weight k: rows are admissible compositions, columns
-    are duality classes, both in enumeration order.  Large weights use the
-    word-splitting formula column by column so no global table is retained."""
-    comps = enumerate_compositions(k, "admissible")
-    classes = enumerate_compositions(k, "classes")
-    index = {a: i for i, a in enumerate(comps)}
-    A = np.zeros((len(comps), len(classes)), dtype=np.int64)
-    explicit = k >= 14
-    for j, cls in enumerate(classes):
-        _fill_column(A, j, index, delta_explicit(cls) if explicit else delta_class(cls))
-        if explicit and (j & 255) == 255:
-            _stuffle_fn.cache_clear()
-    if explicit:
-        _stuffle_fn.cache_clear()
-    return A
+def _fin_words(W: np.ndarray, L: np.ndarray):
+    """fin on nonempty admissible words: drop the leading 0, then the
+    leading run of 1s."""
+    n = _bit_length(~W & ((1 << (L - 1)) - 1))
+    return W & ((1 << n) - 1), n
 
 
-def class_row_basis(k: int) -> list:
-    """All duality classes of weight < k, graded, enumeration order within
-    each weight."""
-    return [cls for kp in range(k) for cls in enumerate_compositions(kp, "classes")]
+def _dual_rows(m: np.ndarray, w: int) -> np.ndarray:
+    """Rows of the duals of the weight-w rows m (w >= 2): reversing and
+    complementing 0 m 1 gives 0 m' 1, m' the reversed complement of m."""
+    c = ~m
+    out = np.zeros_like(m)
+    for i in range(w - 2):
+        out |= ((c >> i) & 1) << (w - 3 - i)
+    return out
+
+
+def _class_columns(w: int):
+    """(column of the class of every weight-w row, representative rows).
+
+    A class's representative is the member with the smaller word, the
+    tuple-wise larger one that ``DualityClass.rep`` names, so the columns
+    follow ``enumerate_compositions(w, "classes")``."""
+    if w < 2:  # the empty composition alone at weight 0, none at weight 1
+        return np.zeros(1 - w, dtype=np.int64), np.zeros(1 - w, dtype=np.int64)
+    m = np.arange(1 << (w - 2), dtype=np.int64)
+    d = _dual_rows(m, w)
+    rep = m <= d
+    return (np.cumsum(rep) - 1)[np.minimum(m, d)], np.flatnonzero(rep)
+
+
+def _alpha_targets(k: int, classes: list):
+    """init, mid and fin of every weight-k class, each as (weights, rows of
+    ``alpha_matrix(k)``), and the row where each weight's classes start.
+    ``classes[w]`` is ``_class_columns(w)`` for w <= k."""
+    cols, reps = zip(*classes[: k + 1])
+    starts = np.cumsum([0] + [len(r) for r in reps])
+    index = np.concatenate([c + s for c, s in zip(cols, starts)])
+    row_start = np.cumsum([0] + [len(c) for c in cols])
+    W = 2 * reps[k] + 1
+    L = np.full(len(W), k)
+    fin = _fin_words(W, L)
+    parts = (_init_words(W, L), _init_words(*fin), fin)
+    return [(n, index[row_start[n] + (V >> 1)]) for V, n in parts], starts
 
 
 def alpha_matrix(k: int) -> np.ndarray:
     """Matrix of alpha at weight k: rows are classes of all weights < k,
-    columns are classes of weight k."""
-    if k < 1:
-        raise ValueError("k >= 1 required")
-    cols = [alpha(LinComb.single(cls)) for cls in enumerate_compositions(k, "classes")]
-    return matrix_from_columns(cols, class_row_basis(k))
+    graded, columns are classes of weight k, each weight's classes in
+    enumeration order."""
+    if not 1 <= k <= MAX_WEIGHT:
+        raise ValueError(f"1 <= k <= {MAX_WEIGHT} required")
+    targets, starts = _alpha_targets(k, [_class_columns(w) for w in range(k + 1)])
+    A = np.zeros((starts[k], starts[k + 1] - starts[k]), dtype=np.int64)
+    j = np.arange(A.shape[1])
+    for _, pos in targets:
+        A[pos, j] += 1
+    return A
+
+
+def delta_matrix(k: int) -> np.ndarray:
+    """Matrix of delta at weight k: rows are admissible compositions, columns
+    are duality classes, both in enumeration order.
+
+    Built weight by weight as D_w = Π_w · diag(D_0, …, D_{w-1}) · A_w, the
+    defining recursion mu(delta([a])) = delta(alpha([a])) in matrix form:
+    A_w is ``alpha_matrix(w)``, and Π_w, the inverse of mu, sends row m' of
+    weight w' >= 2 to row (2m' + 1) · 2^(w-w'-1) and the empty composition
+    to row 0: onto the rows of weight w whose last entry is w - w'.  Each column of D_w is the sum of the at most three
+    lower columns alpha names, added a few rows at a time."""
+    if not 0 <= k <= MAX_WEIGHT:
+        raise ValueError(f"0 <= k <= {MAX_WEIGHT} required")
+    classes = [_class_columns(w) for w in range(k + 1)]
+    D: list = [np.ones((1, 1), dtype=np.int64), np.zeros((0, 0), dtype=np.int64)]
+    for w in range(2, k + 1):
+        targets, starts = _alpha_targets(w, classes)
+        Dw = np.zeros((1 << (w - 2), starts[w + 1] - starts[w]), dtype=np.int64)
+        step = max(1, (1 << 16) // Dw.shape[1])  # rows per slab of about 2^16 entries
+        for kp in range(w - 1, -1, -1):
+            rows = Dw[0:1] if kp == 0 else Dw[1 << (w - kp - 1) :: 1 << (w - kp)]
+            for n, pos in targets:
+                J = np.flatnonzero(n == kp)
+                if len(J) == 0:
+                    continue
+                c = pos[J] - starts[kp]
+                for r in range(0, rows.shape[0], step):
+                    rows[r : r + step, J] += D[kp][r : r + step, c]
+            if w == k:
+                D[kp] = None  # free each lower D once the last one is done with it
+        # entries are sums of D_0's entry 1, so non-negative; a lower D is
+        # kept in 16 bits when it fits, a quarter of its int64 size
+        D.append(Dw if w == k or Dw.max(initial=0) >= 1 << 15 else Dw.astype(np.int16))
+    return D[k]
 
 
 _CERT_CACHE: dict[tuple[str, int], KernelCertificate] = {}
@@ -870,23 +940,22 @@ def preimage_lattice(k: int) -> KernelCertificate:
     weight by weight, in the Q-span of the lower-weight delta kernels.
 
     Computed as the certified kernel of a stacked matrix: for each lower
-    weight, the alpha component composed with a check matrix whose kernel is
-    that weight's delta-kernel span."""
-    if k < 1:
-        raise ValueError("k >= 1 required")
-    classes_k = enumerate_compositions(k, "classes")
-    cols = [alpha(LinComb.single(cls)) for cls in classes_k]
+    weight, the alpha component (that weight's block of rows of
+    ``alpha_matrix(k)``) composed with a check matrix whose kernel is that
+    weight's delta-kernel span."""
+    A = alpha_matrix(k)
     blocks: list[np.ndarray] = []
+    row = 0
     for kp in range(k):
-        classes_kp = enumerate_compositions(kp, "classes")
-        if not classes_kp:
-            continue
-        A_kp = matrix_from_columns([c.homogeneous_part(kp) for c in cols], classes_kp)
         cert = kernel_of_delta(kp)
+        A_kp = A[row : row + cert.n_cols]
+        row += cert.n_cols
+        if cert.n_cols == 0:
+            continue
         if cert.nullity == 0:
             blocks.append(A_kp)
         else:
-            check = certified_kernel(cert.basis).basis
-            C = np.asarray(check, dtype=np.int64)
+            check = _cached_kernel("delta-check", lambda kp: kernel_of_delta(kp).basis, kp, True)
+            C = np.asarray(check.basis, dtype=np.int64)
             blocks.append(_checked_product(C, A_kp, k))
     return certified_kernel(np.vstack(blocks))

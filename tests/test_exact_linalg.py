@@ -2,6 +2,7 @@
 machinery, plus the frozen rank tables for alpha and delta."""
 
 import inspect
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm
@@ -10,9 +11,21 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import lincomb_oracle
+from conftest import requires_extended
+from lincomb_oracle import class_row_basis, matrix_from_columns
 from zetasigma import exact_linalg
-from zetasigma.compositions import DualityClass, enumerate_compositions
-from zetasigma.delta import delta_class
+from zetasigma.compositions import (
+    DualityClass,
+    dual,
+    enumerate_compositions,
+    fin_part,
+    from_word,
+    init_part,
+    mid_part,
+    to_word,
+)
+from zetasigma.delta import delta_class, delta_explicit
 from zetasigma.exact_linalg import (
     PRIMES21,
     KernelCertificate,
@@ -27,7 +40,6 @@ from zetasigma.exact_linalg import (
     _solve_mod_p,
     alpha_matrix,
     certified_kernel,
-    class_row_basis,
     delta_matrix,
     det_bareiss,
     fraction_kernel,
@@ -35,7 +47,6 @@ from zetasigma.exact_linalg import (
     kernel_of_delta,
     lattice_contains,
     lattices_equal,
-    matrix_from_columns,
     preimage_lattice,
     rank_fraction,
     rref_fraction,
@@ -504,6 +515,77 @@ def test_matrix_from_columns_roundtrip():
     cols = [delta_class(c) for c in classes]
     A = matrix_from_columns(cols, comps)
     assert np.array_equal(A, delta_matrix(5))
+
+
+def _same_matrix(A, B):
+    return A.dtype == B.dtype == np.int64 and A.flags.c_contiguous and A.shape == B.shape and np.array_equal(A, B)
+
+
+def test_delta_matrix_matches_lincomb_oracle():
+    for k in range(0, 15):
+        assert _same_matrix(delta_matrix(k), lincomb_oracle.delta_matrix(k)), k
+
+
+def test_alpha_matrix_matches_lincomb_oracle():
+    for k in range(1, 15):
+        assert _same_matrix(alpha_matrix(k), lincomb_oracle.alpha_matrix(k)), k
+
+
+def test_matrix_builders_reject_weights_out_of_range():
+    with pytest.raises(ValueError):
+        delta_matrix(-1)
+    with pytest.raises(ValueError):
+        alpha_matrix(0)
+    with pytest.raises(ValueError):
+        preimage_lattice(0)
+
+
+def _word(a):
+    """(word as a number, first letter most significant; weight)."""
+    return int("".join(map(str, to_word(a))), 2), sum(a)
+
+
+def _composition(W, L):
+    return from_word(tuple((int(W) >> (int(L) - 1 - i)) & 1 for i in range(int(L))))
+
+
+@st.composite
+def admissible_compositions(draw):
+    k = draw(st.integers(2, 14))
+    m = draw(st.integers(0, (1 << (k - 2)) - 1))
+    return from_word((0,) + tuple((m >> (k - 3 - i)) & 1 for i in range(k - 2)) + (1,))
+
+
+@given(st.lists(admissible_compositions(), min_size=1, max_size=12))
+def test_word_maps_match_composition_maps(comps):
+    W, L = (np.array(x, dtype=np.int64) for x in zip(*map(_word, comps)))
+    fin = exact_linalg._fin_words(W, L)
+    for name, (V, n), part in (
+        ("init", exact_linalg._init_words(W, L), init_part),
+        ("fin", fin, fin_part),
+        ("mid", exact_linalg._init_words(*fin), mid_part),
+    ):
+        assert [_composition(v, l) for v, l in zip(V, n)] == [part(a) for a in comps], name
+    for a, w, l in zip(comps, W, L):
+        m = np.array([w >> 1])
+        assert _composition(2 * exact_linalg._dual_rows(m, l)[0] + 1, l) == dual(a)
+        col, reps = exact_linalg._class_columns(l)
+        classes = enumerate_compositions(l, "classes")
+        assert len(reps) == len(classes)
+        assert classes[col[w >> 1]] == DualityClass.of(a)
+        assert _composition(2 * reps[col[w >> 1]] + 1, l) == DualityClass.of(a).rep
+
+
+@requires_extended
+def test_delta_matrix_15_columns_match_word_formula():
+    A = delta_matrix(15)
+    rows = {a: i for i, a in enumerate(enumerate_compositions(15, "admissible"))}
+    classes = enumerate_compositions(15, "classes")
+    for j in random.Random(15).sample(range(len(classes)), 32):
+        col = np.zeros(A.shape[0], dtype=np.int64)
+        for b, c in delta_explicit(classes[j]).items():
+            col[rows[b]] = c
+        assert np.array_equal(A[:, j], col), classes[j]
 
 
 ALPHA_NULLITY = {k: n for k, n in zip(range(1, 13), (0, 0, 0, 0, 0, 1, 0, 3, 2, 9, 10, 31))}
