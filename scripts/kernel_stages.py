@@ -15,8 +15,9 @@ running then:
   saturation      _saturate (with --basis only)
   other           the rest of certified_kernel
 
-Then prints the process's peak resident set size (``ru_maxrss``, which
-Linux reports in KiB), build included.
+Then prints, with --basis, the largest basis entry in bits, and the
+process's peak resident set size (``ru_maxrss``, which Linux reports in
+KiB), build included.
 
 Run with BLAS on one thread (OPENBLAS_NUM_THREADS=1) for figures that
 compare across runs.
@@ -117,6 +118,9 @@ def main() -> int:
     for name in STAGES:
         print(f"{name:<15} {clock.seconds[name]:8.3f} s")
     print(f"{'certified_kernel':<15} {total:8.3f} s")
+    if args.basis:
+        bits = max((abs(x).bit_length() for v in cert.basis for x in v), default=0)
+        print(f"basis entry bits {bits:7d}")
     print(f"{'peak RSS':<15} {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:8.1f} MB")
     return 0
 

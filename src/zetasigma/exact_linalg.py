@@ -20,10 +20,16 @@ every modular result is then promoted to a statement over the rationals:
   prove ``rank <= r``.
 
 The kernel basis returned is a basis of the *saturated* integer lattice
-``ker_Q(M) ∩ Z^n``: integrality of a rational combination of the reduced
-kernel vectors is one congruence per non-free coordinate, each solved by an
-O(t^2) update of a coefficient lattice, and the result is merged into a
-triangular basis and back-substituted with exact integer division.  Basis
+``ker_Q(M) ∩ Z^n``: a rational combination of the reduced kernel vectors
+is integral iff its coefficients, which are its free coordinates, are
+integers meeting one congruence modulo d_i per pivot coordinate i.  The
+lattice of these coefficient vectors contains D * Z^t, D the lcm of the
+d_i, so its row operations are reduced modulo D: one sweep per
+congruence, reading its residues in one column of a residue matrix that
+the row operations carry along, then a Hermite basis modulo D (Domich,
+Kannan & Trotter 1987), whose rows have free coordinates in [0, D].  One
+exact product, divided exactly by the d_i, gives the pivot coordinates.
+Arrays are int64 where these bounds fit, and Python ints beyond.  Basis
 vectors of a saturated lattice are automatically primitive.
 
 Also provided: fraction Gauss-Jordan elimination, kernels and solvers over
@@ -48,7 +54,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from numbers import Integral
-from operator import mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -387,102 +392,127 @@ def _ratrec_matrix(
 # saturation
 
 
-def _sweep(B: list[list[int]], pvec: list[int], d: int, D: int) -> None:
-    """Restrict the coefficient lattice span(B) + D*Z^t to the sublattice
-    where sum_j lambda_j * pvec[j] = 0 mod d (requires d | D)."""
-    t = len(B)
-    res = [sum(map(mul, row, pvec)) % d for row in B]
-    car = None
-    for m in range(t):
-        if res[m] == 0:
+def _gather(V: np.ndarray, rows: np.ndarray, vals: np.ndarray, D: int) -> int:
+    """Combine the given rows of V, modulo D, by unimodular row operations
+    so that the last of them holds g = gcd(vals) and the others 0, where
+    vals are their nonzero entries in one column (or the residues of those
+    entries modulo a divisor of D, when a congruence is all that is asked);
+    return g.
+
+    A row whose value g already divides takes one vectorized subtraction of
+    a multiple of the last row; each other row meets the last in a 2 x 2
+    Euclid, which lowers g, so at most log2(vals[-1]) of them run.  The
+    last row carries so that, when B is near the identity, the rows it is
+    subtracted from gain entries only in later columns.  With vals and the
+    entries of V in [0, D), every value formed is below 2 D^2."""
+    p, g = rows[-1], int(vals[-1])
+    rows, vals = rows[:-1], vals[:-1]
+    while (off := np.flatnonzero(vals % g)).size:
+        j = off[0]
+        b = int(vals[j])
+        h, x, y = _xgcd(g, b)
+        wp, wj = V[p], V[rows[j]]
+        V[p], V[rows[j]] = (x * wp + y * wj) % D, (b // h * wp - g // h * wj) % D
+        g = h
+        rows, vals = np.delete(rows, j), np.delete(vals, j)
+    if rows.size:
+        V[rows] = (V[rows] - (vals // g)[:, None] * V[p]) % D
+    return g
+
+
+def _coefficient_hermite(Gm: np.ndarray, dens: Sequence[int], D: int) -> np.ndarray:
+    """Upper-triangular Z-basis H, entries in [0, D], of the lattice of
+    integer vectors lambda with Gm[i] . lambda = 0 mod dens[i] for every i,
+    where every dens[i] divides D and Gm, with entries in [0, D), has dtype
+    int64 (when D < 2^31, so that 2 D^2 < 2^63) or object.
+
+    The lattice contains D * Z^t, so every row operation may reduce its
+    result modulo D: that adds multiples of D * e_j, which the lattice
+    holds.  The sweeps work on [S | B], where B spans the lattice of the
+    congruences so far together with D * Z^t, and S = B @ Gm.T mod D starts
+    as Gm.T as B starts as the identity: sweep i reads its residues in column
+    i of S, gathers the rows with nonzero residues into one row holding
+    their gcd g (:func:`_gather`; S follows each row operation), and scales
+    that row by d / gcd(g, d).  The Hermite basis of span(B) + D * Z^t is
+    then computed modulo D (Domich, Kannan & Trotter 1987): at column c the
+    working rows with a nonzero entry are gathered into one row p, which
+    then takes in D * e_c, a generator no operation has touched before:
+    with g = gcd(p_c, D) = x p_c + y D, the basis row is x * p mod D with g
+    at column c, and (D / g) * p mod D, zero at column c, stays a working
+    row.  A column without working entries has the basis row D * e_c."""
+    k, t = Gm.shape
+    A = np.zeros((t, k + t), dtype=Gm.dtype)
+    A[:, :k] = Gm.T
+    A[:, k:] = np.eye(t, dtype=np.int64)
+    for i, d in enumerate(dens):
+        V = A[:, i:]
+        res = V[:, 0] % d
+        nz = np.flatnonzero(res)
+        if nz.size == 0:
             continue
-        if car is None:
-            car = m
-            continue
-        g, x, y = _xgcd(res[car], res[m])
-        u, v = res[m] // g, res[car] // g
-        bc, bm = B[car], B[m]
-        B[car] = [(x * bc[j] + y * bm[j]) % D for j in range(t)]
-        B[m] = [(u * bc[j] - v * bm[j]) % D for j in range(t)]
-        res[car], res[m] = g % d, 0
-    if car is not None and res[car]:
-        s = d // gcd(res[car], d)
+        s = d // gcd(_gather(V, nz, res[nz], D), d)
         if s > 1:
-            B[car] = [s * x % D for x in B[car]]
-
-
-def _echelon_basis_int(rows) -> list[list[int]]:
-    """Triangular Z-basis of the lattice generated by integer rows."""
-    work = [list(map(int, r)) for r in rows if any(r)]
-    if not work:
-        return []
-    n = len(work[0])
-    out = []
-    for col in range(n):
-        cand = [r for r in work if r[col] != 0]
-        if not cand:
+            V[nz[-1]] = s * V[nz[-1]] % D
+    W = A[:, k:]
+    H = np.zeros((t, t), dtype=Gm.dtype)
+    for c in range(t):
+        V = W[:, c:]
+        nz = np.flatnonzero(V[:, 0])
+        if nz.size == 0:
+            H[c, c] = D
             continue
-        while len(cand) > 1:
-            cand.sort(key=lambda r: abs(r[col]))
-            s = cand[0]
-            sc = s[col]
-            for r in cand[1:]:
-                q = r[col] // sc
-                if q:
-                    for j in range(col, n):
-                        r[j] -= q * s[j]
-            cand = [r for r in cand if r[col] != 0]
-        piv = cand[0]
-        if piv[col] < 0:
-            piv[:] = [-x for x in piv]
-        work = [r for r in work if r is not piv and r[col] == 0]
-        out.append(piv)
-    return out
+        p = nz[-1]
+        g, x, _ = _xgcd(_gather(V, nz, V[nz, 0], D), D)
+        H[c, c:] = x * V[p] % D
+        H[c, c] = g
+        V[p] = D // g * V[p] % D
+    return H
 
 
 def _saturate(F, pivots, free, n) -> tuple[tuple[int, ...], ...]:
     """Saturated basis of the lattice Q-spanned by the reduced kernel
     vectors (1 at own free column, -num/den at pivot column i, where
-    F[i][f] = (num, den)) inside Z^n."""
+    F[i][f] = (num, den)) inside Z^n.
+
+    With G[i] / d_i the pivot row i of the reduced kernel vectors and D the
+    lcm of the d_i, the lattice is the set of x with x[free] = lambda and
+    x[pivots] = G lambda / d, for lambda in the coefficient lattice of
+    integer vectors with G[i] . lambda = 0 mod d_i for every i, which
+    contains D * Z^t.  The basis rows come from the rows lambda of its
+    Hermite basis modulo D (:func:`_coefficient_hermite`): their free
+    coordinates lie in [0, D], and their pivot coordinates are
+    G lambda / d, below t * D * max|G|.  Arrays are int64 where these
+    bounds keep every value exact, and Python ints beyond: the Hermite
+    basis needs D < 2^31, and the back-substitution, one product G @ H.T
+    by :func:`_matmul_exact` divided exactly by d, needs D * max|G| < 2^53
+    and t * D * max|G| < 2^63."""
     r, t = len(pivots), len(free)
     if t == 0:
         return ()
     # pivot row i of the reduced kernel vectors is G[i] / row_den[i]
-    row_den = [lcm(*(den for _, den in row)) for row in F]
-    G = [[-num * (d // den) for num, den in row] for row, d in zip(F, row_den)]
+    row_den = [lcm(*[den for _, den in row]) for row in F]
+    G = np.array([[-num * (d // den) for num, den in row] for row, d in zip(F, row_den)], dtype=object)
+    G = G.reshape(r, t)
     D = lcm(*row_den)
-    if D == 1:
-        basis = []
-        for f in range(t):
-            v = [0] * n
-            v[free[f]] = 1
-            for i in range(r):
-                v[pivots[i]] = G[i][f]
-            basis.append(tuple(v))
-        return tuple(basis)
-    B = [[1 if i == j else 0 for j in range(t)] for i in range(t)]
-    for i in range(r):
-        d = row_den[i]
-        if d == 1:
-            continue
-        _sweep(B, [x % d for x in G[i]], d, D)
-    gens = [row for row in B if any(row)]
-    gens += [[D if j == f else 0 for j in range(t)] for f in range(t)]
-    H = _echelon_basis_int(gens)
-    if len(H) != t:
+    gmax = max(G.max(initial=0), -G.min(initial=0))
+    if gmax < 1 << 63:
+        G = G.astype(np.int64)
+    den = np.array(row_den, dtype=np.int64 if D < 1 << 63 else object).reshape(r, 1)
+    live = den[:, 0] > 1
+    Gm = (G[live] % den[live]).astype(np.int64 if D < 1 << 31 else object)
+    H = _coefficient_hermite(Gm, den[live, 0].tolist(), D)
+    if not all(H.diagonal()):
         raise ReconstructionError("coefficient lattice lost full rank")
-    basis = []
-    for lam in H:
-        v = [0] * n
-        for f in range(t):
-            v[free[f]] = lam[f]
-        for i in range(r):
-            entry, rem = divmod(sum(map(mul, G[i], lam)), row_den[i])
-            if rem:
-                raise ReconstructionError("saturation produced a non-integer entry")
-            v[pivots[i]] = entry
-        basis.append(tuple(v))
-    return tuple(basis)
+    if gmax * D < 1 << 53 and t * gmax * D < 1 << 63:
+        P = _matmul_exact(G, H.T, gmax, D)
+    else:
+        P = G.astype(object) @ H.T.astype(object)
+    if np.any(P % den):
+        raise ReconstructionError("saturation produced a non-integer entry")
+    V = np.zeros((n, t), dtype=P.dtype)
+    V[list(free)] = H.T
+    V[list(pivots)] = P // den
+    return tuple(map(tuple, V.T.tolist()))
 
 
 # ---------------------------------------------------------------------------

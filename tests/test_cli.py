@@ -416,6 +416,7 @@ def test_kernel_stages_script():
     assert "delta weight 6: 16 x 10, rank 9, nullity 1" in proc.stdout
     for stage in ("elimination", "lifting", "reconstruction", "verification", "saturation"):
         assert re.search(rf"^{stage} +\d+\.\d{{3}} s$", proc.stdout, re.M), stage
+    assert re.search(r"^basis entry bits +\d+$", proc.stdout, re.M)
     assert re.search(r"^peak RSS +\d+\.\d MB$", proc.stdout, re.M)
 
 

@@ -138,23 +138,50 @@ def _minors_gcd(basis, n):
 
 @st.composite
 def wide_int_matrices(draw):
-    # entries wide enough that the reduced kernel vectors have denominators
+    # entries wide enough that the reduced kernel vectors have denominators,
+    # some up to 2^40 so that their lcm D can pass 2^31 (the Hermite basis
+    # then runs on Python ints), plus repeated rows and integer
+    # combinations of the first rows, so that the rank can be low
     n = draw(st.integers(2, 6))
-    m = draw(st.integers(1, n - 1))
-    return [[draw(st.integers(-40, 40)) for _ in range(n)] for _ in range(m)]
+    entry = st.one_of(st.integers(-40, 40), st.integers(-(1 << 40), 1 << 40))
+    base = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=n - 1))
+    coeffs = st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base))
+    combos = coeffs.map(lambda cs: [sum(c * row[j] for c, row in zip(cs, base)) for j in range(n)])
+    return base + draw(st.lists(st.one_of(st.sampled_from(base), combos), max_size=3))
+
+
+def _assert_saturated_kernel(rows):
+    cert = certified_kernel(rows)
+    n = len(rows[0])
+    assert cert.rank == rank_fraction(rows)
+    assert len(cert.basis) == cert.nullity
+    for v in cert.basis:
+        assert all(sum(r * x for r, x in zip(row, v)) == 0 for row in rows)
+    if cert.basis:
+        assert _minors_gcd(cert.basis, n) == 1
+    assert lattices_equal(cert.basis, [_cleared(v) for v in fraction_kernel(rows)])
 
 
 @given(wide_int_matrices())
 @example([[2, 1, 1]])
+@example([[6, 10, 15, 1], [6, 10, 15, 1], [12, 20, 30, 2]])
+# saturation on Python ints: D, the lcm of the kernel's denominators, is
+# near 2^81 in the first (the pivot block's determinant), and D * max|G|
+# passes 2^63 in the second (D = 2, entries near 2^62)
+@example([[(1 << 40) + 15, (1 << 40) - 33, 7, 1, 0], [3, (1 << 40) + 1, -((1 << 40) - 5), 0, 2]])
+@example([[2, (1 << 62) + 1, 1, 3]])
 def test_certified_kernel_basis_is_saturated(rows):
     # a t-row integer basis spans a saturated lattice iff the gcd of its
     # t x t minors is 1; the column-scaled kernel basis of [[2, 1, 1]],
     # (-1, 2, 0) and (-1, 0, 2), has minors gcd 2
-    cert = certified_kernel(rows)
-    n = len(rows[0])
-    assert len(cert.basis) == cert.nullity
-    if cert.basis:
-        assert _minors_gcd(cert.basis, n) == 1
+    _assert_saturated_kernel(rows)
+
+
+def test_delta_kernel_bases_fit_int64():
+    # the Hermite basis modulo D keeps the free coordinates in [0, D], so
+    # the check matrices of preimage_lattice(13) fit int64
+    for k in range(13):
+        assert all(abs(x) < 1 << 63 for v in kernel_of_delta(k).basis for x in v), k
 
 
 def test_certified_kernel_unlucky_primes():
@@ -203,15 +230,7 @@ LIFTED = [[(1 << 40) + 15, (1 << 40) - 33, 7], [3, (1 << 40) + 1, -((1 << 40) - 
 @example(LIFTED)
 @example([[3, -((1 << 63) - 1)]])  # the first residual leaves int64
 def test_certified_kernel_lifts_large_entries(rows):
-    cert = certified_kernel(rows)
-    n = len(rows[0])
-    assert cert.rank == rank_fraction(rows)
-    assert len(cert.basis) == cert.nullity
-    for v in cert.basis:
-        assert all(sum(r * x for r, x in zip(row, v)) == 0 for row in rows)
-    if cert.basis:
-        assert _minors_gcd(cert.basis, n) == 1
-    assert lattices_equal(cert.basis, [_cleared(v) for v in fraction_kernel(rows)])
+    _assert_saturated_kernel(rows)
 
 
 def test_certified_kernel_lifting_steps(monkeypatch):
@@ -648,10 +667,21 @@ def test_delta_kernel_coefficient_sums_vanish():
 
 
 def test_preimage_lattice_equals_delta_kernel():
-    for k in range(1, 11):
+    for k in range(1, 13):
         pre = preimage_lattice(k)
         ker = kernel_of_delta(k)
         assert lattices_equal(pre.basis, ker.basis), k
+
+
+@requires_extended
+def test_preimage_lattice_13_lies_in_delta_kernel():
+    # its check matrices are built on the weight-12 delta-kernel basis;
+    # lattices_equal at weight 13 takes about a minute, so the nullity (the
+    # table's) and exact annihilation stand in for it
+    pre = preimage_lattice(13)
+    assert pre.nullity == 78
+    D = delta_matrix(13).astype(object)
+    assert not np.any(D @ np.array(pre.basis, dtype=object).T)
 
 
 def test_delta_columns_pairwise_distinct():
