@@ -97,17 +97,6 @@ def delta_explicit(c: DualityClass) -> LinComb:
     return delta_from_word(c.rep)
 
 
-def delta_depth1(a: int) -> LinComb:
-    """Closed form for the class of a single-entry composition (a >= 2):
-    twice each (b, 1, ..., 1) for 3 <= b <= a plus three times (2, 1, ..., 1).
-    """
-    if a < 2:
-        raise ValueError("depth-1 classes need an entry >= 2")
-    terms = [((b,) + (1,) * (a - b), 2) for b in range(3, a + 1)]
-    terms.append(((2,) + (1,) * (a - 2), 3))
-    return LinComb(terms)
-
-
 def _comb0(n: int, k: int) -> int:
     return math.comb(n, k) if 0 <= k <= n else 0
 

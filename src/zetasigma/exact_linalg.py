@@ -1,4 +1,4 @@
-"""Exact integer/rational linear algebra with certified results.
+"""Exact integer linear algebra with certified results.
 
 Rank and kernel computations run modulo word-sized primes for speed, and
 every modular result is then promoted to a statement over the rationals:
@@ -19,6 +19,10 @@ every modular result is then promoted to a statement over the rationals:
   entries of ``M @ V``; the ``n - r`` verified independent kernel vectors
   prove ``rank <= r``.
 
+Matrix entries may be integers of any size: the matrix is held in int64
+while every entry fits, and in Python ints beyond, which are reduced
+modulo each prime before any float64 work.
+
 The kernel basis returned is a basis of the *saturated* integer lattice
 ``ker_Q(M) ∩ Z^n``: a rational combination of the reduced kernel vectors
 is integral iff its coefficients, which are its free coordinates, are
@@ -32,12 +36,17 @@ exact product, divided exactly by the d_i, gives the pivot coordinates.
 Arrays are int64 where these bounds fit, and Python ints beyond.  Basis
 vectors of a saturated lattice are automatically primitive.
 
-Also provided: fraction Gauss-Jordan elimination, kernels and solvers over
-Q, exact determinants by fraction-free elimination, fraction-free row-space
-membership, and builders for the integer matrices of the maps alpha and
-delta on the class basis.  The builders hold compositions as binary words in
-int64 arrays, so init, fin, duality and the inverse of mu are bit
-operations, and they build delta from alpha one weight at a time,
+Two saturated lattices are equal iff their Q-spans are, that is iff
+rank A = rank B = rank [A; B], so :func:`lattices_equal` is three
+rank-only certificates, of A^T, B^T and [A; B]^T.  Its answer rests, as
+every certificate does, on verified kernel vectors for each "rank <= r"
+and on the eliminator's pivot count for each "rank >= r".
+
+Also provided: exact determinants by fraction-free elimination, and
+builders for the integer matrices of the maps alpha and delta on the class
+basis.  The builders hold compositions as binary words in int64 arrays, so
+init, fin, duality and the inverse of mu are bit operations, and they build
+delta from alpha one weight at a time,
 D_k = Π_k · diag(D_0, …, D_{k-1}) · A_k; ``delta`` and ``lincomb`` compute
 the same maps on tuple-keyed linear combinations.
 
@@ -51,7 +60,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt, lcm
 from numbers import Integral
 from typing import Iterable, Sequence
@@ -278,9 +286,10 @@ _LIMB = 20
 
 
 def _mul_exact(A: np.ndarray, Y: np.ndarray, ymax: int) -> np.ndarray:
-    """A @ Y exactly, for an int64 matrix A and 0 <= Y <= ymax < 2^21: an
-    int64 array when |A| * ymax * inner < 2^53, else a Python-int object
-    array summed from the products of 20-bit limbs of A."""
+    """A @ Y exactly, for an integer matrix A (int64 or Python ints) and
+    0 <= Y <= ymax < 2^21: an int64 array when |A| * ymax * inner < 2^53,
+    else a Python-int object array summed from the products of 20-bit limbs
+    of A."""
     amax = int(np.abs(A).max()) if A.size else 0
     if amax * ymax * A.shape[1] < 1 << 53:
         return _matmul_exact(A, Y, amax, ymax)
@@ -316,9 +325,14 @@ def _padic_solutions(Mr: np.ndarray, p: int, pivots, free, inverse):
     become Python ints only as they are read, so a reconstruction that fails
     in its first row builds one row."""
     base = p**3
-    sq = np.square(Mr.astype(np.float64)).sum(axis=1)
-    # one spare bit covers the float rounding of the bound
-    limit_bits = math.ceil(float(np.log2(sq).sum())) + 2
+    if Mr.dtype == object:
+        # Python-int entries may pass float64's range: each row's squared
+        # norm is below 2^(its bit length), so 2 H^2 < 2^limit_bits
+        limit_bits = sum(int(np.dot(row, row)).bit_length() for row in Mr) + 1
+    else:
+        sq = np.square(Mr.astype(np.float64)).sum(axis=1)
+        # one spare bit covers the float rounding of the bound
+        limit_bits = math.ceil(float(np.log2(sq).sum())) + 2
     A, B = Mr[:, list(pivots)], Mr[:, free]
     # an int64 residual cannot wrap while |B| < 2^62, as int64 products of
     # A stay below 2^53; wider B starts in Python ints
@@ -590,31 +604,31 @@ def _verify_product(M, mmax, P, L, pivots, free):
     return True
 
 
-def _int64_matrix(mat) -> np.ndarray:
-    """mat as an int64 array.  A non-integer entry raises ValueError, and an
-    integer of magnitude 2^63 or more, beyond int64, ReconstructionError."""
+def _integer_matrix(mat) -> np.ndarray:
+    """mat as an int64 array, or as a Python-int object array when an entry
+    has magnitude 2^63 or more.  A non-integer entry raises ValueError."""
     if isinstance(mat, np.ndarray) and mat.dtype.kind in "biu":
         M = mat
     else:
         M = np.array(mat, dtype=object)
-        if not all(isinstance(x, Integral) for x in M.flat):
+        if not all(issubclass(t, Integral) for t in set(map(type, M.flat))):
             raise ValueError("certified_kernel needs integer entries")
     if M.size and max(int(M.max()), -int(M.min())) >= 1 << 63:
-        raise ReconstructionError("certified_kernel: an entry of magnitude >= 2^63 is beyond int64")
+        return np.frompyfunc(int, 1, 1)(M)
     return M.astype(np.int64, copy=False)
 
 
 def certified_kernel(mat, *, need_basis: bool = True) -> KernelCertificate:
     """Certified rank and saturated kernel lattice of an integer matrix.
 
-    Entries must be integers of magnitude below 2^63: a non-integer entry
-    raises ValueError, and a larger integer ReconstructionError.
+    Entries are integers of any size, held as int64 while they fit and as
+    Python ints beyond; a non-integer entry raises ValueError.
 
     >>> c = certified_kernel([[1, 1, 0], [0, 2, 2]])
     >>> c.rank, c.nullity, c.basis
     (2, 1, ((1, -1, 1),))
     """
-    M = _int64_matrix(mat)
+    M = _integer_matrix(mat)
     if M.ndim != 2:
         raise ValueError("a 2-D integer matrix is required")
     m, n = M.shape
@@ -649,71 +663,7 @@ def certified_kernel(mat, *, need_basis: bool = True) -> KernelCertificate:
 
 
 # ---------------------------------------------------------------------------
-# fraction elimination, solvers, determinants
-
-
-def rref_fraction(rows) -> tuple[int, tuple[int, ...], list[list[Fraction]]]:
-    """Gauss-Jordan over Q: (rank, pivot columns, reduced nonzero rows)."""
-    R = [[Fraction(x) for x in row] for row in rows]
-    if not R:
-        return 0, (), []
-    n = len(R[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        sel = next((i for i in range(r, len(R)) if R[i][c]), None)
-        if sel is None:
-            continue
-        R[r], R[sel] = R[sel], R[r]
-        inv = 1 / R[r][c]
-        R[r] = [x * inv for x in R[r]]
-        for i in range(len(R)):
-            if i != r and R[i][c]:
-                f = R[i][c]
-                R[i] = [a - f * b for a, b in zip(R[i], R[r])]
-        pivots.append(c)
-        r += 1
-    return r, tuple(pivots), R[:r]
-
-
-def rank_fraction(rows) -> int:
-    return rref_fraction(rows)[0]
-
-
-def fraction_kernel(rows, n_cols: int | None = None) -> list[list[Fraction]]:
-    """Kernel basis over Q in reduced form (identity on free columns)."""
-    rows = [list(r) for r in rows]
-    if n_cols is None:
-        if not rows:
-            raise ValueError("n_cols is required for an empty matrix")
-        n_cols = len(rows[0])
-    r, pivots, R = rref_fraction(rows) if rows else (0, (), [])
-    pivset = set(pivots)
-    free = [c for c in range(n_cols) if c not in pivset]
-    out = []
-    for f in free:
-        v = [Fraction(0)] * n_cols
-        v[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            v[c] = -R[i][f]
-        out.append(v)
-    return out
-
-
-def solve_fraction(A, b) -> list[Fraction] | None:
-    """One exact solution of A x = b, or None when inconsistent (free
-    variables are set to zero)."""
-    rows = [list(r) + [bb] for r, bb in zip(A, b)]
-    if len(rows) != len(list(b)):
-        raise ValueError("shape mismatch")
-    n = len(rows[0]) - 1
-    r, pivots, R = rref_fraction(rows)
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = R[i][n]
-    return x
+# determinants and lattice equality
 
 
 def det_bareiss(rows) -> int:
@@ -740,71 +690,31 @@ def det_bareiss(rows) -> int:
     return sign * A[n - 1][n - 1]
 
 
-def _primitive(v: list[int]) -> list[int]:
-    """v divided by the gcd of its entries."""
-    c = gcd(*v)
-    return [x // c for x in v] if c > 1 else v
-
-
-class RowSpaceQ:
-    """Echelonized Q-row-space supporting fast membership tests.
-
-    Rows are kept as primitive integer vectors and reduced fraction-free:
-    a rational input vector is first scaled to an integer one, which spans
-    the same line."""
-
-    def __init__(self, rows=()):
-        self._rows: dict[int, list[int]] = {}
-        for r in rows:
-            self.insert(r)
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    def _reduce(self, v) -> list[int]:
-        den = lcm(*(x.denominator for x in v))
-        v = _primitive([int(x * den) for x in v])
-        for piv in sorted(self._rows):
-            a = v[piv]
-            if a:
-                row = self._rows[piv]
-                g = gcd(a, row[piv])
-                b, a = row[piv] // g, a // g
-                v = _primitive([b * x - a * y for x, y in zip(v, row)])
-        return v
-
-    def insert(self, v) -> bool:
-        """Add a vector; True if it enlarged the space."""
-        res = self._reduce(v)
-        piv = next((i for i, x in enumerate(res) if x), None)
-        if piv is None:
-            return False
-        self._rows[piv] = res
-        return True
-
-    def contains(self, v) -> bool:
-        return not any(self._reduce(v))
-
-
-def lattice_contains(basis, v) -> bool:
-    """Membership of an integer vector in the saturated lattice spanned by
-    ``basis`` (integer vector + lies in the Q-span)."""
-    if any(int(x) != x for x in v):
-        return False
-    return RowSpaceQ(basis).contains([int(x) for x in v])
-
-
 def lattices_equal(basis_a, basis_b) -> bool:
-    """Equality of two saturated lattices: equal rank + mutual Q-span
-    membership of integer bases."""
-    a, b = list(basis_a), list(basis_b)
+    """Equality of two saturated lattices given by integer bases of equal
+    length vectors: False when the vector counts differ, else whether
+    rank A = rank B = rank [A; B], which holds iff the Q-spans agree.
+
+    The three ranks are rank-only certificates of the transposes, whose
+    rows are the vector coordinates: "rank <= r" rests on verified kernel
+    vectors, and "rank >= r" on the eliminator's pivot count, as in every
+    :class:`KernelCertificate`.  Vectors of different lengths, within one
+    basis or across the two, raise ValueError.
+
+    >>> lattices_equal([(1, 0), (0, 1)], [(1, 1), (0, 1)])
+    True
+    """
+    a, b = [list(v) for v in basis_a], [list(v) for v in basis_b]
+    if len({len(v) for v in a + b}) > 1:
+        raise ValueError("lattice basis vectors of different lengths")
     if len(a) != len(b):
         return False
-    ra, rb = RowSpaceQ(a), RowSpaceQ(b)
-    if ra.rank != rb.rank:
-        return False
-    return all(ra.contains(v) for v in b) and all(rb.contains(v) for v in a)
+    if not a:
+        return True
+    M = _integer_matrix(a + b).T
+    t = len(a)
+    ranks = {certified_kernel(X, need_basis=False).rank for X in (M[:, :t], M[:, t:], M)}
+    return len(ranks) == 1
 
 
 # ---------------------------------------------------------------------------

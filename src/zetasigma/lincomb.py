@@ -259,19 +259,6 @@ class LinComb:
             _acc(d, f(b)._terms.items(), c)
         return LinComb._wrap(d)
 
-    def grade_split(self) -> dict:
-        """Split into homogeneous parts, keyed by weight."""
-        parts: dict = {}
-        for b, c in self._terms.items():
-            parts.setdefault(_basis_weight(b), []).append((b, c))
-        return {k: LinComb._wrap(dict(v)) for k, v in sorted(parts.items())}
-
-    def homogeneous_part(self, k: int) -> "LinComb":
-        return LinComb._wrap({b: c for b, c in self._terms.items() if _basis_weight(b) == k})
-
-    def is_homogeneous(self, k: int) -> bool:
-        return all(_basis_weight(b) == k for b in self._terms)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, LinComb) and self._terms == other._terms
 

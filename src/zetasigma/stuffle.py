@@ -56,22 +56,6 @@ stuffle.cache_clear = _stuffle.cache_clear
 stuffle.cache_info = _stuffle.cache_info
 
 
-def _check_support(x: LinComb) -> None:
-    for a, _ in x.items():
-        check_composition(a)
-
-
-def stuffle_lincombs(x: LinComb, y: LinComb) -> LinComb:
-    """Bilinear extension of :func:`stuffle`."""
-    _check_support(x)
-    _check_support(y)
-    d: dict = {}
-    for a, ca in x.items():
-        for b, cb in y.items():
-            _acc(d, _stuffle(a, b).items(), ca * cb)
-    return LinComb._wrap(d)
-
-
 def boxast(a: Composition, b: Composition) -> LinComb:
     """Merge the first entries, stuffle the tails.
 
@@ -88,17 +72,6 @@ def _boxast(a: Composition, b: Composition):
     if not a or not b:
         return () if a or b else (((), 1),)
     return _prepend(a[0] + b[0], _stuffle(a[1:], b[1:]))
-
-
-def boxast_lincombs(x: LinComb, y: LinComb) -> LinComb:
-    """Bilinear extension of :func:`boxast`."""
-    _check_support(x)
-    _check_support(y)
-    d: dict = {}
-    for a, ca in x.items():
-        for b, cb in y.items():
-            _acc(d, _boxast(a, b), ca * cb)
-    return LinComb._wrap(d)
 
 
 def phi_composition(p: int, q: int, a: Composition) -> Fraction:

@@ -15,6 +15,7 @@ from conftest import (
     requires_extended,
     tol,
 )
+from linalg_oracle import lattice_contains
 from zetasigma import numerics as num
 from zetasigma.compositions import (
     DualityClass,
@@ -41,7 +42,6 @@ from zetasigma.exact_linalg import (
     det_bareiss,
     kernel_of_alpha,
     kernel_of_delta,
-    lattice_contains,
     lattices_equal,
     preimage_lattice,
 )

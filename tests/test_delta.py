@@ -17,7 +17,6 @@ from zetasigma.delta import (
     c_b_poly,
     closed_family,
     delta_class,
-    delta_depth1,
     delta_explicit,
     delta_from_word,
     delta_inductive,
@@ -25,7 +24,8 @@ from zetasigma.delta import (
     family_t_family,
     height_graded_family,
 )
-from zetasigma.exact_linalg import det_bareiss, rank_fraction
+from linalg_oracle import rank_fraction
+from zetasigma.exact_linalg import det_bareiss
 from zetasigma.lincomb import LinComb, alpha, class_projection, mu
 
 D = lambda a: delta_class(DualityClass.of(a))
@@ -69,10 +69,11 @@ def test_empty_class():
 
 
 def test_depth_one_closed_form():
+    # twice each (b, 1, ..., 1) for 3 <= b <= a plus three times (2, 1, ..., 1)
     for a in range(2, 13):
-        assert delta_depth1(a) == D((a,))
-    with pytest.raises(ValueError):
-        delta_depth1(1)
+        terms = [((b,) + (1,) * (a - b), 2) for b in range(3, a + 1)]
+        terms.append(((2,) + (1,) * (a - 2), 3))
+        assert D((a,)) == LinComb(terms), a
 
 
 def test_explicit_equals_inductive_small():

@@ -1,5 +1,6 @@
-"""Exact integer/rational linear algebra and the certified kernel
-machinery, plus the frozen rank tables for alpha and delta."""
+"""Exact integer linear algebra and the certified kernel machinery, checked
+against the Fraction reference in ``linalg_oracle``, plus the frozen rank
+tables for alpha and delta."""
 
 import inspect
 import random
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import linalg_oracle as oracle
 import lincomb_oracle
 from conftest import requires_extended
 from lincomb_oracle import class_row_basis, matrix_from_columns
@@ -42,15 +44,10 @@ from zetasigma.exact_linalg import (
     certified_kernel,
     delta_matrix,
     det_bareiss,
-    fraction_kernel,
     kernel_of_alpha,
     kernel_of_delta,
-    lattice_contains,
     lattices_equal,
     preimage_lattice,
-    rank_fraction,
-    rref_fraction,
-    solve_fraction,
 )
 
 
@@ -92,14 +89,25 @@ def test_certified_kernel_edges():
         ([[1.5, 2]], ValueError),
         ([[Fraction(1, 2), 1]], ValueError),
         (np.array([[1.0, 2.0]]), ValueError),
-        (np.array([[2**63, 0], [0, 2**63]], dtype=np.uint64), ReconstructionError),
-        ([[-(2**63), 0], [0, -(2**63)]], ReconstructionError),
-        ([[2**63, 1]], ReconstructionError),
     ],
 )
 def test_certified_kernel_refuses_entries_it_cannot_hold(mat, error):
-    with pytest.raises(error, match="integer entries|beyond int64"):
+    with pytest.raises(error, match="integer entries"):
         certified_kernel(mat)
+
+
+@pytest.mark.parametrize(
+    "mat,rank,basis",
+    [
+        (np.array([[2**63, 0], [0, 2**63]], dtype=np.uint64), 2, ()),
+        ([[-(2**63), 0], [0, -(2**63)]], 2, ()),
+        ([[2**63, 1]], 1, ((-1, 2**63),)),
+    ],
+    ids=["uint64", "int64_min", "one_past_int64"],
+)
+def test_certified_kernel_takes_entries_beyond_int64(mat, rank, basis):
+    cert = certified_kernel(mat)
+    assert (cert.rank, cert.basis) == (rank, basis)
 
 
 def _is_prime_by_trial_division(n):
@@ -117,15 +125,15 @@ def test_prime_tables_are_the_largest_primes_below_their_limit(table, limit):
 @given(int_matrices())
 def test_certified_kernel_matches_fractions(rows):
     cert = certified_kernel(rows)
-    assert cert.rank == rank_fraction(rows)
+    assert cert.rank == oracle.rank_fraction(rows)
     assert len(cert.basis) == cert.nullity
     # every certified basis vector is an exact kernel vector
     for v in cert.basis:
         for row in rows:
             assert sum(r * x for r, x in zip(row, v)) == 0
     # the fraction kernel, cleared of denominators, lies in the lattice
-    for fv in fraction_kernel(rows):
-        assert lattice_contains(cert.basis, _cleared(fv))
+    for fv in oracle.fraction_kernel(rows):
+        assert oracle.lattice_contains(cert.basis, _cleared(fv))
 
 
 def _minors_gcd(basis, n):
@@ -153,13 +161,13 @@ def wide_int_matrices(draw):
 def _assert_saturated_kernel(rows):
     cert = certified_kernel(rows)
     n = len(rows[0])
-    assert cert.rank == rank_fraction(rows)
+    assert cert.rank == oracle.rank_fraction(rows)
     assert len(cert.basis) == cert.nullity
     for v in cert.basis:
         assert all(sum(r * x for r, x in zip(row, v)) == 0 for row in rows)
     if cert.basis:
         assert _minors_gcd(cert.basis, n) == 1
-    assert lattices_equal(cert.basis, [_cleared(v) for v in fraction_kernel(rows)])
+    assert oracle.lattices_equal(cert.basis, [_cleared(v) for v in oracle.fraction_kernel(rows)])
 
 
 @given(wide_int_matrices())
@@ -190,11 +198,11 @@ def test_certified_kernel_unlucky_primes():
     # other pivot recovers the entry p0, so p0 alone certifies
     switch = certified_kernel([[p0, 0, 1]])
     assert switch.rank == 1 and switch.primes == (p0,)
-    assert lattices_equal(switch.basis, ((1, 0, -p0), (0, 1, 0)))
+    assert oracle.lattices_equal(switch.basis, ((1, 0, -p0), (0, 1, 0)))
     # the reduced kernel entry 1/p2 needs lifting past p0 as well
     skip = certified_kernel([[p2, 0, 1]])
     assert skip.rank == 1 and skip.primes == (p0,)
-    assert lattices_equal(skip.basis, ((1, 0, -p2), (0, 1, 0)))
+    assert oracle.lattices_equal(skip.basis, ((1, 0, -p2), (0, 1, 0)))
     # p0 drops the rank: the exact solution through its pivot row fails the
     # other row, so p0 is unlucky; p1 shows full rank and needs no lifting
     full = certified_kernel([[p0, 1], [0, p0]])
@@ -203,18 +211,19 @@ def test_certified_kernel_unlucky_primes():
     for rows, basis in (([[p0]], ()), ([[p0, 2 * p0]], ((-2, 1),)), ([[p0], [2 * p0]], ())):
         zero = certified_kernel(rows)
         assert zero.rank == 1 and zero.primes == (p1,)
-        assert lattices_equal(zero.basis, basis)
+        assert oracle.lattices_equal(zero.basis, basis)
         assert certified_kernel(rows, need_basis=False).primes == (p1,)
 
 
 @st.composite
 def big_entry_matrices(draw):
-    # a few rows with entries up to 2^40, plus small combinations of them,
-    # so that kernels exist and their entries need several lifting steps
+    # a few rows with entries up to 2^200, beyond int64, plus small
+    # combinations of them, so that kernels exist and their entries need
+    # many lifting steps
     n = draw(st.integers(2, 5))
     base = draw(
         st.lists(
-            st.lists(st.integers(-(1 << 40), 1 << 40), min_size=n, max_size=n),
+            st.lists(st.integers(-(1 << 200), 1 << 200), min_size=n, max_size=n),
             min_size=1,
             max_size=n - 1,
         )
@@ -229,6 +238,9 @@ LIFTED = [[(1 << 40) + 15, (1 << 40) - 33, 7], [3, (1 << 40) + 1, -((1 << 40) - 
 @given(big_entry_matrices())
 @example(LIFTED)
 @example([[3, -((1 << 63) - 1)]])  # the first residual leaves int64
+# entries past float64's range: the lifting bound is taken from bit lengths
+@example([[(1 << 600) + 5, 3, 1], [7, (1 << 600) - 1, -(1 << 599)]])
+@example([[(1 << 1100) + 1, 1 << 1100, 3]])
 def test_certified_kernel_lifts_large_entries(rows):
     _assert_saturated_kernel(rows)
 
@@ -248,7 +260,7 @@ def test_certified_kernel_lifting_steps(monkeypatch):
     cert = certified_kernel(LIFTED)
     assert cert.primes == (PRIMES21[0],) and cert.nullity == 1
     assert len(moduli) >= 4 and moduli[-1] == PRIMES21[0] ** len(moduli)
-    assert lattices_equal(cert.basis, [_cleared(v) for v in fraction_kernel(LIFTED)])
+    assert oracle.lattices_equal(cert.basis, [_cleared(v) for v in oracle.fraction_kernel(LIFTED)])
 
 
 def test_certified_kernel_one_elimination_per_prime(monkeypatch):
@@ -348,7 +360,7 @@ def test_certified_kernel_first_pivot_needs_row_swap():
     assert swap.rank == 2 and swap.basis == ()
     dup = certified_kernel([[0, 0, 1], [1, 1, 0], [1, 1, 0]])
     assert dup.rank == 2
-    assert lattices_equal(dup.basis, ((-1, 1, 0),))
+    assert oracle.lattices_equal(dup.basis, ((-1, 1, 0),))
 
 
 @st.composite
@@ -474,30 +486,22 @@ def test_replayed_inverse_past_a_reduction():
     assert (_matmul_exact(A, y, 2, p - 1) % p == R).all()
 
 
-# ------------------------------------------------------- fraction toolkit
+# ------------------------------------------------------- the fraction oracle
 
 def test_rref_fraction():
-    rank, pivots, rows = rref_fraction([[2, 4, 6], [1, 2, 4]])
+    rank, pivots, rows = oracle.rref_fraction([[2, 4, 6], [1, 2, 4]])
     assert rank == 2
     assert pivots == (0, 2)
     assert rows[0][:2] == [Fraction(1), Fraction(2)]
 
 
 def test_fraction_kernel():
-    got = fraction_kernel([[2, 4]])
+    got = oracle.fraction_kernel([[2, 4]])
     assert got == [[Fraction(-2), Fraction(1)]]
-    assert fraction_kernel([], n_cols=2) == [
+    assert oracle.fraction_kernel([], n_cols=2) == [
         [Fraction(1), Fraction(0)],
         [Fraction(0), Fraction(1)],
     ]
-
-
-def test_solve_fraction():
-    assert solve_fraction([[2, 0], [0, 4]], [6, 2]) == [
-        Fraction(3),
-        Fraction(1, 2),
-    ]
-    assert solve_fraction([[1, 1], [1, 1]], [0, 1]) is None
 
 
 def test_det_bareiss():
@@ -510,12 +514,67 @@ def test_det_bareiss():
 def test_lattice_predicates():
     # membership means: integral and inside the Q-span (bases are saturated)
     diag = ((1, 1, 0),)
-    assert lattice_contains(diag, (2, 2, 0))
-    assert not lattice_contains(diag, (1, 0, 0))
-    assert not lattice_contains(diag, (Fraction(1, 2), Fraction(1, 2), 0))
+    assert oracle.lattice_contains(diag, (2, 2, 0))
+    assert not oracle.lattice_contains(diag, (1, 0, 0))
+    assert not oracle.lattice_contains(diag, (Fraction(1, 2), Fraction(1, 2), 0))
     assert lattices_equal(((1, 0), (0, 1)), ((1, 1), (0, 1)))
     assert not lattices_equal(((1, 0, 0),), ((0, 1, 0),))
     assert not lattices_equal(((1, 0, 0),), ((1, 0, 0), (0, 1, 0)))
+    assert lattices_equal((), ())
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        ([(1, 0)], [(1, 0, 0)]),
+        ([(1, 0), (0, 1, 0)], [(1, 0), (0, 1)]),
+        ([(1, 0)], [(1, 0), (0, 1, 5)]),
+    ],
+    ids=["across", "within", "counts_differ"],
+)
+def test_lattices_equal_rejects_vectors_of_different_lengths(a, b):
+    with pytest.raises(ValueError, match="different lengths"):
+        lattices_equal(a, b)
+
+
+@st.composite
+def lattice_pairs(draw):
+    """(A, B) of equal vector counts whose spans the three kinds of draw
+    relate differently: B = U A for a unimodular U, so the same lattice; B
+    another basis of the same rank, whose span mostly differs; and A and B
+    with dependent rows, one a combination of the others.  Some entries
+    pass int64."""
+    n = draw(st.integers(1, 6))
+    t = draw(st.integers(1, n))
+    entry = st.one_of(st.integers(-9, 9), st.integers(-(1 << 70), 1 << 70))
+    vectors = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=t, max_size=t)
+    A = draw(vectors)
+    kind = draw(st.sampled_from(["unimodular", "other", "dependent"]))
+    if kind == "unimodular":
+        B = [list(v) for v in A]
+        for _ in range(draw(st.integers(0, 6))):
+            i, j = draw(st.integers(0, t - 1)), draw(st.integers(0, t - 1))
+            if i == j:
+                B[i] = [-x for x in B[i]]
+            else:
+                c = draw(st.integers(-3, 3))
+                B[i] = [x + c * y for x, y in zip(B[i], B[j])]
+        B = draw(st.permutations(B))
+    else:
+        B = draw(vectors)
+        if kind == "dependent" and t >= 2:
+            cs = draw(st.lists(st.integers(-2, 2), min_size=t - 1, max_size=t - 1))
+            for M in (A, B):
+                M[-1] = [sum(c * v[j] for c, v in zip(cs, M)) for j in range(n)]
+    return A, B
+
+
+@given(lattice_pairs())
+@example(([[1, 2], [2, 4]], [[1, 2], [3, 6]]))
+@example(([[1, 0, 0], [0, 1, 0]], [[1, 1, 0], [0, 1, 1]]))
+def test_lattices_equal_matches_oracle(pair):
+    A, B = pair
+    assert lattices_equal(A, B) == oracle.lattices_equal(A, B)
 
 
 # ------------------------------------------------------- maps as matrices
@@ -675,13 +734,21 @@ def test_preimage_lattice_equals_delta_kernel():
 
 @requires_extended
 def test_preimage_lattice_13_lies_in_delta_kernel():
-    # its check matrices are built on the weight-12 delta-kernel basis;
-    # lattices_equal at weight 13 takes about a minute, so the nullity (the
-    # table's) and exact annihilation stand in for it
+    # its check matrices are built on the weight-12 delta-kernel basis
     pre = preimage_lattice(13)
     assert pre.nullity == 78
     D = delta_matrix(13).astype(object)
     assert not np.any(D @ np.array(pre.basis, dtype=object).T)
+    assert lattices_equal(pre.basis, kernel_of_delta(13).basis)
+
+
+@requires_extended
+def test_preimage_lattice_14_equals_delta_kernel():
+    # its weight-13 check matrix is the saturated kernel of a basis with
+    # entries past int64
+    pre = preimage_lattice(14)
+    assert pre.nullity == 200
+    assert lattices_equal(pre.basis, kernel_of_delta(14).basis)
 
 
 def test_delta_columns_pairwise_distinct():

@@ -128,17 +128,6 @@ def test_accumulate_path_matches_dict_reference(ring, data):
     assert (lx - ly) + ly == lx and hash((lx - ly) + ly) == hash(lx)
 
 
-def test_grading():
-    x = LinComb(((((2,)), 1), ((3,), 2), ((2, 1), 5)))
-    parts = x.grade_split()
-    assert set(parts) == {2, 3}
-    assert parts[3] == LinComb((((3,), 2), ((2, 1), 5)))
-    assert x.homogeneous_part(2) == LinComb.single((2,))
-    assert x.homogeneous_part(7).is_zero
-    assert not x.is_homogeneous(3)
-    assert parts[3].is_homogeneous(3)
-
-
 # ---------------------------------------------------------------- JSON
 
 def test_json_round_trip_int_and_fraction():

@@ -8,14 +8,7 @@ from hypothesis import given, strategies as st
 
 from zetasigma.compositions import weight
 from zetasigma.lincomb import LinComb
-from zetasigma.stuffle import (
-    boxast,
-    boxast_lincombs,
-    phi,
-    phi_composition,
-    stuffle,
-    stuffle_lincombs,
-)
+from zetasigma.stuffle import boxast, phi, phi_composition, stuffle
 
 small = st.lists(st.integers(1, 4), min_size=0, max_size=3).map(tuple)
 
@@ -40,8 +33,8 @@ def test_stuffle_commutative(a, b):
 
 @given(small, small, small)
 def test_stuffle_associative(a, b, c):
-    x = stuffle_lincombs(stuffle(a, b), LinComb.single(c))
-    y = stuffle_lincombs(LinComb.single(a), stuffle(b, c))
+    x = stuffle(a, b).map_basis(lambda u: stuffle(u, c))
+    y = stuffle(b, c).map_basis(lambda v: stuffle(a, v))
     assert x == y
 
 
@@ -100,25 +93,13 @@ def test_boxast_weight_and_symmetry(a, b):
     assert got == boxast(b, a)
 
 
-def test_boxast_lincombs_bilinear():
-    x = LinComb((((2,), 2), ((3,), 1)))
-    y = LinComb((((2, 1), 1),))
-    got = boxast_lincombs(x, y)
-    want = boxast((2,), (2, 1)).scale(2) + boxast((3,), (2, 1))
-    assert got == want
-
-
 def test_products_reject_non_positive_entries():
-    good = LinComb.single((2, 1))
     for bad in ((0,), (2, 0), (3, -1)):
         for call in (
             lambda: stuffle(bad, (1,)),
             lambda: stuffle((1,), bad),
             lambda: boxast(bad, (2,)),
             lambda: boxast((2,), bad),
-            lambda: boxast_lincombs(LinComb.single(bad), good),
-            lambda: boxast_lincombs(good, LinComb.single(bad)),
-            lambda: stuffle_lincombs(good, LinComb.single(bad)),
         ):
             with pytest.raises(ValueError):
                 call()
