@@ -18,8 +18,9 @@ def main() -> int:
         ap.error("--weight must be in 0..12")
 
     for c in enumerate_compositions(k, "classes"):
+        lc = delta_class(c)
         terms = " + ".join(
-            f"{cf}({format_composition(b)})" for b, cf in delta_class(c).items()
+            f"{lc.coefficient_of(b)}({format_composition(b)})" for b in lc.support()
         )
         print(f"delta {format_class(c)} = {terms}")
 

@@ -6,7 +6,14 @@ empty composition and satisfying  mu(delta([a])) = delta([a^init] + [a^mid] +
 provided:
 
 * :func:`delta_class` / :func:`delta_inductive` — the defining recursion,
-  solved weight by weight through the explicit inverse of ``mu``;
+  solved weight by weight through the explicit inverse of ``mu``.  The
+  image of each part p of [a] is homogeneous of weight |p|, and ``mu``
+  inverts by appending the entry k - |p| to each of its terms, so the
+  recursion extends the three images part by part.  Parts of equal weight
+  extend theirs by the same entry, and those images are added: all three
+  parts of [2] are empty, init = mid = () for a depth-1 class, and init
+  and fin have equal weight when the last entry of ``a`` is the weight
+  that fin drops (for instance 1, when the first entry is at least 3).
 * :func:`delta_explicit` — a word-splitting formula: if w is the word of a
   representative ``a`` of weight k, then
 
@@ -14,7 +21,9 @@ provided:
 
   where L_i is the composition of the reverse-complement of the first i
   letters, R_i the composition of the rest, and ``#`` merges first entries
-  and stuffles tails (1-indexed letters).
+  and stuffles tails (1-indexed letters).  It runs on the integer codes of
+  :mod:`.stuffle` (the word behind a sentinel bit), where the splits are
+  bit operations, and decodes each term of the result once.
 
 Closed-form expansions for eight structured families, the polynomial
 coefficients :func:`c_b_poly`, and the even/self-dual submatrix
@@ -35,17 +44,16 @@ from .compositions import (
     check_composition,
     enumerate_compositions,
     even_composition_by_index,
+    fin_part,
     height,
     is_admissible,
     n_even,
     n_self_dual,
-    reverse_complement,
     self_dual_class_by_index,
-    to_word,
-    _from_word,
+    _class_of,
 )
-from .lincomb import LinComb, Poly, T, _acc, _mu_invert, alpha, class_projection
-from .stuffle import _boxast
+from .lincomb import LinComb, Poly, T, _acc, class_projection
+from .stuffle import _code, _composition, _stuffle
 
 _MEMO: dict = {}
 
@@ -55,11 +63,23 @@ def delta_class(c: DualityClass) -> LinComb:
     hit = _MEMO.get(c)
     if hit is not None:
         return hit
-    if len(c.rep) == 0:
+    a = c.rep
+    if not a:
         val = LinComb.single(())
     else:
-        target = alpha(LinComb.single(c)).map_basis(delta_class)
-        val = _mu_invert(target, c.weight)
+        k = sum(a)
+        fin = fin_part(a)
+        d: dict = {}
+        appended = set()
+        for p in (a[:-1], fin[:-1], fin):
+            e = (k - sum(p),)
+            img = delta_class(_class_of(p))._terms.items()
+            if e in appended:
+                _acc(d, ((b + e, v) for b, v in img), 1)
+            else:
+                appended.add(e)
+                d.update({b + e: v for b, v in img})
+        val = LinComb._wrap(d)
     _MEMO[c] = val
     return val
 
@@ -80,16 +100,28 @@ def delta_from_word(a: Composition) -> LinComb:
         raise ValueError(f"word formula needs an admissible composition: {a!r}")
     if len(a) == 0:
         return LinComb.single(())
-    w = to_word(a)
+    x = _code(a)
+    k = sum(a)
     d: dict = {}
-    for i in range(1, len(w)):
-        coeff = 1 + (1 - w[i - 1]) + w[i]
-        # w starts with 0 and ends with 1 (a is admissible and nonempty), so
-        # both halves are nonempty words ending in 1.
-        left = _from_word(reverse_complement(w[:i]))
-        right = _from_word(w[i:])
-        _acc(d, _boxast(left, right), coeff)
-    return LinComb._wrap(d)
+    get = d.get
+    left = 1
+    for i in range(1, k):
+        # letters i-1 and i of the word are bits k-i and k-i-1 of x
+        prev, nxt = (x >> (k - i)) & 1, (x >> (k - i - 1)) & 1
+        coeff = 2 - prev + nxt
+        # L_i is L_{i-1} with the letter 1 - prev put in front: the old
+        # sentinel, bit i-1, becomes that letter and bit i the new sentinel
+        left = (left ^ (prev << (i - 1))) | (1 << i)
+        # both halves are nonempty words ending in 1, since the word starts
+        # with 0 and ends with 1 (a is admissible and nonempty).  The terms
+        # of L_i # R_i are those of the product of the two tails with bit k
+        # set, which is added when decoding below
+        right_tail = x & ((1 << (k - i)) - 1)
+        for z, v in _stuffle(left ^ (1 << i), right_tail).items():
+            d[z] = get(z, 0) + coeff * v
+    # every coefficient is positive, so none cancels
+    top = 1 << k
+    return LinComb._wrap({_composition(z | top): v for z, v in d.items()})
 
 
 def delta_explicit(c: DualityClass) -> LinComb:

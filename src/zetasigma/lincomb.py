@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .compositions import (
-    Composition,
     DualityClass,
     _class_of,
     fin_part,
@@ -343,13 +342,7 @@ def mu_invert(target: LinComb, k: int) -> LinComb:
             raise ValueError(f"mu_invert needs admissible composition targets: {b!r}")
         if weight(b) >= k:
             raise ValueError(f"target {b!r} has weight >= {k}; not in the image of mu_k")
-    return _mu_invert(target, k)
-
-
-def _mu_invert(target: LinComb, k: int) -> LinComb:
-    """:func:`mu_invert` on a target already known to be admissible
-    compositions of weight < k."""
-    return LinComb._wrap({b + (k - sum(b),): c for b, c in target._terms.items()})
+    return LinComb._wrap({b + (k - weight(b),): c for b, c in target._terms.items()})
 
 
 def alpha(lc: LinComb) -> LinComb:

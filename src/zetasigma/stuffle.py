@@ -8,6 +8,14 @@ with one entry of ``b`` by addition.
 convention it vanishes when exactly one argument is empty, and is the empty
 composition when both are.
 
+Both run on integer codes: a sentinel bit, then the composition's word
+(``compositions.to_word``), first letter most significant, as in
+``exact_linalg``.  Prepending an entry and taking the tail are single bit
+operations there, and one memoized recursion on codes computes the product;
+``stuffle`` and ``boxast`` decode its terms into tuple-keyed ``LinComb``
+views.  As everywhere, the order in which a ``LinComb`` holds its terms is
+not part of the contract; ``LinComb.support`` gives the canonical order.
+
 ``phi(p, q, lc)`` evaluates the exact rational
 
     phi_{p,q}(a) = q^(-a_1) * sum_{q > n_2 > ... > n_r > p} prod n_i^(-a_i)
@@ -22,37 +30,71 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .compositions import Composition, check_composition
-from .lincomb import LinComb, _acc
+from .lincomb import LinComb
 
 
-def _prepend(e: int, lc: LinComb):
-    """The terms of ``lc`` with the entry ``e`` put in front of each basis
-    composition (injective, so no two terms collide)."""
-    return (((e,) + c, v) for c, v in lc.items())
+def _code(a: Composition) -> int:
+    """Integer code of a composition: a sentinel bit, then its word
+    (``compositions.to_word``), first letter most significant.  The empty
+    composition is 1, and a code of weight w has ``bit_length`` w + 1."""
+    x = 1
+    for e in a:
+        x = (x << e) | 1
+    return x
+
+
+@lru_cache(maxsize=None)
+def _composition(x: int) -> Composition:
+    """Inverse of :func:`_code` (memoized: a product of weight w has at most
+    2^(w-1) distinct terms, each decoded many times)."""
+    return tuple(map(len, bin(x)[3:].replace("1", "1 ").split()))
+
+
+@lru_cache(maxsize=None)
+def _stuffle(x: int, y: int) -> MappingProxyType:
+    """The stuffle product on codes: a read-only map, shared by every
+    caller, from codes to coefficients, all positive.
+
+    The tail of a code drops its sentinel, and prepending an entry e to a
+    code of weight w - e sets bit w; so every term of a product of weight w
+    is a term of a smaller product with bit w set."""
+    if x == 1 or y == 1:
+        # the empty composition is the unit
+        return MappingProxyType({x if y == 1 else y: 1})
+    xt = x ^ (1 << (x.bit_length() - 1))
+    yt = y ^ (1 << (y.bit_length() - 1))
+    top = 1 << (x.bit_length() + y.bit_length() - 2)
+    # the terms start with the sum of the two first entries, with x's or
+    # with y's; only the last two groups can share a term, when x and y
+    # have the same first entry
+    d = {z | top: v for z, v in _stuffle(xt, yt).items()}
+    d.update({z | top: v for z, v in _stuffle(xt, y).items()})
+    if x.bit_length() - xt.bit_length() == y.bit_length() - yt.bit_length():
+        get = d.get
+        for z, v in _stuffle(x, yt).items():
+            z |= top
+            d[z] = get(z, 0) + v
+    else:
+        d.update({z | top: v for z, v in _stuffle(x, yt).items()})
+    return MappingProxyType(d)
 
 
 def stuffle(a: Composition, b: Composition) -> LinComb:
     """Stuffle product of two compositions as an integer combination."""
-    return _stuffle(check_composition(a), check_composition(b))
+    d = _stuffle(_code(check_composition(a)), _code(check_composition(b)))
+    return LinComb._wrap({_composition(z): v for z, v in d.items()})
 
 
-@lru_cache(maxsize=None)
-def _stuffle(a: Composition, b: Composition) -> LinComb:
-    """:func:`stuffle` on checked compositions, memoized."""
-    if not a:
-        return LinComb.single(b)
-    if not b:
-        return LinComb.single(a)
-    d: dict = {}
-    _acc(d, _prepend(a[0], _stuffle(a[1:], b)), 1)
-    _acc(d, _prepend(b[0], _stuffle(a, b[1:])), 1)
-    _acc(d, _prepend(a[0] + b[0], _stuffle(a[1:], b[1:])), 1)
-    return LinComb._wrap(d)
+def _cache_clear() -> None:
+    """Empty both memos of this module: the products and the decoded codes."""
+    _stuffle.cache_clear()
+    _composition.cache_clear()
 
 
-stuffle.cache_clear = _stuffle.cache_clear
+stuffle.cache_clear = _cache_clear
 stuffle.cache_info = _stuffle.cache_info
 
 
@@ -64,14 +106,13 @@ def boxast(a: Composition, b: Composition) -> LinComb:
     >>> str(boxast((1,), (1,)))
     '(2)'
     """
-    return LinComb._wrap(dict(_boxast(check_composition(a), check_composition(b))))
-
-
-def _boxast(a: Composition, b: Composition):
-    """The terms of :func:`boxast` on checked compositions."""
+    a, b = check_composition(a), check_composition(b)
     if not a or not b:
-        return () if a or b else (((), 1),)
-    return _prepend(a[0] + b[0], _stuffle(a[1:], b[1:]))
+        return LinComb.single(()) if not a and not b else LinComb.zero()
+    # the merged first entry sets the bit at the total weight
+    top = 1 << (sum(a) + sum(b))
+    d = _stuffle(_code(a[1:]), _code(b[1:]))
+    return LinComb._wrap({_composition(z | top): v for z, v in d.items()})
 
 
 def phi_composition(p: int, q: int, a: Composition) -> Fraction:

@@ -24,6 +24,7 @@ from zetasigma.delta import (
     family_t_family,
     height_graded_family,
 )
+import zetasigma.delta as delta_module
 from linalg_oracle import rank_fraction
 from zetasigma.exact_linalg import det_bareiss
 from zetasigma.lincomb import LinComb, alpha, class_projection, mu
@@ -74,6 +75,22 @@ def test_depth_one_closed_form():
         terms = [((b,) + (1,) * (a - b), 2) for b in range(3, a + 1)]
         terms.append(((2,) + (1,) * (a - 2), 3))
         assert D((a,)) == LinComb(terms), a
+
+
+def test_memo_is_the_one_memo_of_the_recursion():
+    # a cold start empties delta._MEMO (and every lru_cache), so the
+    # recursion keeps its images there and nowhere else
+    memo = delta_module._MEMO
+    memo.clear()
+    c = DualityClass.of((3, 1, 2, 2))
+    image = delta_class(c)
+    assert memo[c] is image
+    assert all(
+        isinstance(key, DualityClass) and isinstance(val, LinComb)
+        for key, val in memo.items()
+    )
+    memo.clear()
+    assert delta_class(c) is not image and delta_class(c) == image
 
 
 def test_explicit_equals_inductive_small():

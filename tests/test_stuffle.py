@@ -1,16 +1,24 @@
 """Stuffle product, the first-entry merge, and the finite model phi."""
 
+import importlib
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from zetasigma.compositions import weight
+import zetasigma.delta as delta_module
+from lincomb_oracle import tuple_boxast, tuple_stuffle
+from zetasigma.compositions import DualityClass, weight
+from zetasigma.delta import delta_explicit
 from zetasigma.lincomb import LinComb
 from zetasigma.stuffle import boxast, phi, phi_composition, stuffle
 
+# the module, not the function that the package re-exports under its name
+stuffle_module = importlib.import_module("zetasigma.stuffle")
+
 small = st.lists(st.integers(1, 4), min_size=0, max_size=3).map(tuple)
+wide = st.lists(st.integers(1, 6), min_size=0, max_size=4).map(tuple)
 
 
 def test_stuffle_frozen():
@@ -59,6 +67,30 @@ def test_ones_stuffle_binomial_expansion():
                 if coeff:
                     want_terms.append((c, coeff))
             assert got == LinComb(want_terms), (m, n)
+
+
+@given(wide, wide)
+def test_products_on_codes_match_the_tuple_recursion(a, b):
+    assert stuffle_module._composition(stuffle_module._code(a)) == a
+    assert stuffle(a, b) == tuple_stuffle(a, b)
+    assert boxast(a, b) == tuple_boxast(a, b)
+
+
+def test_cache_clear_empties_every_memo_of_the_word_formula():
+    # a cold start empties the products' memos through stuffle.cache_clear,
+    # so every memo that the word formula reads must be emptied by it
+    delta_explicit(DualityClass.of((4, 2, 3)))
+    stuffle((2, 1), (3,))
+    memos = [
+        val
+        for mod in (stuffle_module, delta_module)
+        for val in vars(mod).values()
+        if hasattr(val, "cache_info") and val.__module__ == mod.__name__
+    ]
+    assert stuffle_module._stuffle in memos and stuffle_module._composition in memos
+    assert any(memo.cache_info().currsize for memo in memos)
+    stuffle.cache_clear()
+    assert [memo.cache_info().currsize for memo in memos] == [0] * len(memos)
 
 
 def _compositions_12(k):
