@@ -35,7 +35,7 @@ from .delta import delta_class, delta_explicit, delta_submatrix
 from .exact_linalg import kernel_of_alpha, kernel_of_delta
 from . import identities
 from .identities import IDENTITIES
-from .lincomb import LinComb, Poly
+from .lincomb import LinComb, Poly, _basis_str
 from . import numerics as num
 
 __all__ = ["main"]
@@ -58,17 +58,13 @@ def _emit(fmt: str, payload, text_lines, csv_lines) -> None:
         print("\n".join(text_lines))
 
 
-def _comp_text(a) -> str:
-    return "(" + ",".join(map(str, a)) + ")"
-
-
 def _lincomb_text(lc: LinComb) -> str:
     if lc.is_zero:
         return "0"
     parts = []
     for b in lc.support():
         c = lc.coefficient_of(b)
-        bs = format_class(b) if isinstance(b, DualityClass) else _comp_text(b)
+        bs = _basis_str(b)
         parts.append(f"{c!s}*{bs}" if not isinstance(c, Poly) else f"({c!s})*{bs}")
     return " + ".join(parts)
 
@@ -100,7 +96,7 @@ def _cmd_enumerate(args) -> int:
             {"class": list(c.rep)} if class_like else list(c) for c in items
         ],
     }
-    text = [format_class(c) if class_like else _comp_text(c) for c in items]
+    text = [_basis_str(c) for c in items]
     csv = [format_composition(c.rep if class_like else c) for c in items]
     _emit(args.format, payload, text, csv)
     return 0
@@ -197,7 +193,7 @@ def _cmd_eval(args) -> int:
         raise ValueError("--n must be >= 0")
     if args.sigma is not None:
         a = parse_composition(args.sigma)
-        kind, arg_text = "sigma", _comp_text(a)
+        kind, arg_text = "sigma", _basis_str(a)
         val = num.sigma_tail(a, args.n, args.digits)
     else:
         a = parse_composition(args.zeta_tail)

@@ -13,6 +13,16 @@ that do not end in 0, via
 
     word(a) = 0^(a_1 - 1) 1  0^(a_2 - 1) 1  ...  0^(a_r - 1) 1.
 
+The package computes on one integer form of that word, the *code* of
+``a``: a sentinel bit, then the word, first letter most significant
+(:func:`_code`, :func:`_composition`).  The empty composition is 1, and a
+code of weight k has ``bit_length`` k + 1.  An admissible word of weight
+k >= 2 is 0 m 1 with m a (k-2)-bit number, and m is the composition's
+*row*; the empty composition is row 0 of weight 0.  Descending
+lexicographic order on tuples is ascending order on rows: the order of the
+admissible and class listings, and of the rows and columns of the ``alpha``
+and ``delta`` matrices.
+
 The *dual* of an admissible composition is obtained by reversing and
 complementing its word; duality is a weight-preserving involution on
 admissible compositions, and ``DualityClass`` is the unordered pair
@@ -28,6 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 Composition = tuple  # tuple[int, ...]
 Word = tuple  # tuple[int, ...] of 0/1 bits
@@ -79,12 +91,7 @@ def to_word(a: Composition) -> Word:
     >>> to_word((3, 1))
     (0, 0, 1, 1)
     """
-    check_composition(a)
-    bits: list[int] = []
-    for e in a:
-        bits.extend([0] * (e - 1))
-        bits.append(1)
-    return tuple(bits)
+    return tuple(map(int, bin(_code(check_composition(a)))[3:]))
 
 
 def from_word(w: Word) -> Composition:
@@ -97,19 +104,32 @@ def from_word(w: Word) -> Composition:
         raise ValueError(f"word bits must be 0/1: {w!r}")
     if len(w) and w[-1] != 1:
         raise ValueError(f"word ends in 0, not in the image of any composition: {w!r}")
-    return _from_word(w)
-
-
-def _from_word(w: Word) -> Composition:
-    """:func:`from_word` on a word already known to be 0/1 and to end in 1."""
-    out: list[int] = []
-    run = 0
+    x = 1
     for b in w:
-        run += 1
-        if b == 1:
-            out.append(run)
-            run = 0
-    return tuple(out)
+        x = x << 1 | int(b)
+    return _composition(x)
+
+
+def _code(a: Composition) -> int:
+    """Integer code of a composition: a sentinel bit, then its word
+    (:func:`to_word`), first letter most significant.  The empty
+    composition is 1, and a code of weight w has ``bit_length`` w + 1."""
+    x = 1
+    for e in a:
+        x = (x << e) | 1
+    return x
+
+
+@lru_cache(maxsize=None)
+def _composition(x: int) -> Composition:
+    """Inverse of :func:`_code` (memoized: a product of weight w has at most
+    2^(w-1) distinct terms, each decoded many times)."""
+    return tuple(map(len, bin(x)[3:].replace("1", "1 ").split()))
+
+
+def _reversed_complement(i: int, n: int) -> int:
+    """The n-bit word of i (n >= 1), reversed and complemented, as a number."""
+    return int(format(i, f"0{n}b")[::-1], 2) ^ ((1 << n) - 1)
 
 
 def reverse_complement(w: Word) -> Word:
@@ -184,6 +204,13 @@ def mid_part(a: Composition) -> Composition:
     return init_part(fin_part(a))
 
 
+def _init_mid_fin(a: Composition) -> tuple:
+    """(init, mid, fin) of a tuple already known to be an admissible
+    composition; all three are admissible compositions."""
+    fin = fin_part(a)
+    return a[:-1], fin[:-1], fin
+
+
 @dataclass(frozen=True, order=True)
 class DualityClass:
     """Unordered pair {a, dual(a)} of admissible compositions.
@@ -227,21 +254,28 @@ def _class_of(a: Composition) -> DualityClass:
     return DualityClass(max(a, _dual(a)))
 
 
-def _admissible_words(k: int):
-    """All weight-k binary words starting with 0 and ending with 1."""
-    if k == 0:
-        yield ()
-        return
-    if k == 1:
-        return
-    for m in range(2 ** (k - 2)):
-        mid = tuple((m >> (k - 3 - j)) & 1 for j in range(k - 2))
-        yield (0,) + mid + (1,)
+def _dual_rows(m: np.ndarray, w: int) -> np.ndarray:
+    """Rows of the duals of the weight-w rows m (w >= 2): reversing and
+    complementing 0 m 1 gives 0 m' 1, m' the reversed complement of m."""
+    c = ~m
+    out = np.zeros_like(m)
+    for i in range(w - 2):
+        out |= ((c >> i) & 1) << (w - 3 - i)
+    return out
 
 
-def _bits(i: int, n: int) -> Word:
-    """n-bit big-endian expansion of i (leading zeros kept)."""
-    return tuple((i >> (n - 1 - j)) & 1 for j in range(n))
+def _class_columns(w: int):
+    """(column of the class of every weight-w row, representative rows).
+
+    A class's representative is the member with the smaller word, the
+    tuple-wise larger one that ``DualityClass.rep`` names, so the columns
+    follow ``enumerate_compositions(w, "classes")``."""
+    if w < 2:  # the empty composition alone at weight 0, none at weight 1
+        return np.zeros(1 - w, dtype=np.int64), np.zeros(1 - w, dtype=np.int64)
+    m = np.arange(1 << (w - 2), dtype=np.int64)
+    d = _dual_rows(m, w)
+    rep = m <= d
+    return (np.cumsum(rep) - 1)[np.minimum(m, d)], np.flatnonzero(rep)
 
 
 @lru_cache(maxsize=None)
@@ -272,21 +306,19 @@ def enumerate_compositions(k: int, filter: str) -> tuple:
             return ()
         return tuple(self_dual_class_by_index(k, i) for i in range(n_self_dual(k)))
 
-    adm = [from_word(w) for w in _admissible_words(k)]
-    if filter == "admissible":
-        out = adm
-    elif filter == "classes":
-        out = list({DualityClass.of(a).rep for a in adm})
-    elif filter == "entries_ge_2":
-        out = [a for a in adm if all(e >= 2 for e in a)]
-    elif filter == "entries_le_2":
-        out = [a for a in adm if all(e <= 2 for e in a)]
-    else:  # entries_in_23
-        out = [a for a in adm if a and all(e in (2, 3) for e in a)]
-    out.sort(reverse=True)
+    # row m of weight k has the code 2^k | 2m + 1 (1 for the empty row), and
+    # rows ascend in listing order
+    cols, reps = _class_columns(k)
     if filter == "classes":
-        return tuple(DualityClass(rep) for rep in out)
-    return tuple(out)
+        return tuple(DualityClass(_composition(1 << k | 2 * m + 1)) for m in reps.tolist())
+    adm = tuple(_composition(1 << k | 2 * m + 1) for m in range(len(cols)))
+    if filter == "admissible":
+        return adm
+    if filter == "entries_ge_2":
+        return tuple(a for a in adm if all(e >= 2 for e in a))
+    if filter == "entries_le_2":
+        return tuple(a for a in adm if all(e <= 2 for e in a))
+    return tuple(a for a in adm if a and all(e in (2, 3) for e in a))  # entries_in_23
 
 
 def n_even(k: int) -> int:
@@ -311,8 +343,8 @@ def even_composition_by_index(k: int, i: int) -> Composition:
         raise IndexError(i)
     if k == 0:
         return ()
-    b = from_word(reverse_complement(_bits(i, k // 2)))
-    return tuple(2 * e for e in b)
+    n = k // 2
+    return tuple(2 * e for e in _composition((1 << n) | _reversed_complement(i, n)))
 
 
 def self_dual_class_by_index(k: int, i: int) -> DualityClass:
@@ -327,9 +359,10 @@ def self_dual_class_by_index(k: int, i: int) -> DualityClass:
         raise IndexError(i)
     if k == 0:
         return DualityClass(())
-    w = _bits(i, k // 2)
-    a = from_word(w + reverse_complement(w))
-    return DualityClass.of(a)
+    n = k // 2
+    # the word is its own reversed complement, so the composition is its
+    # class's representative
+    return DualityClass(_composition((((1 << n) | i) << n) | _reversed_complement(i, n)))
 
 
 def format_composition(a: Composition) -> str:

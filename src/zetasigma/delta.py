@@ -22,8 +22,8 @@ provided:
   where L_i is the composition of the reverse-complement of the first i
   letters, R_i the composition of the rest, and ``#`` merges first entries
   and stuffles tails (1-indexed letters).  It runs on the integer codes of
-  :mod:`.stuffle` (the word behind a sentinel bit), where the splits are
-  bit operations, and decodes each term of the result once.
+  :mod:`.compositions` (the word behind a sentinel bit), where the splits
+  are bit operations, and decodes each term of the result once.
 
 Closed-form expansions for eight structured families, the polynomial
 coefficients :func:`c_b_poly`, and the even/self-dual submatrix
@@ -44,16 +44,18 @@ from .compositions import (
     check_composition,
     enumerate_compositions,
     even_composition_by_index,
-    fin_part,
     height,
     is_admissible,
     n_even,
     n_self_dual,
     self_dual_class_by_index,
     _class_of,
+    _code,
+    _composition,
+    _init_mid_fin,
 )
 from .lincomb import LinComb, Poly, T, _acc, class_projection
-from .stuffle import _code, _composition, _stuffle
+from .stuffle import _stuffle
 
 _MEMO: dict = {}
 
@@ -68,10 +70,9 @@ def delta_class(c: DualityClass) -> LinComb:
         val = LinComb.single(())
     else:
         k = sum(a)
-        fin = fin_part(a)
         d: dict = {}
         appended = set()
-        for p in (a[:-1], fin[:-1], fin):
+        for p in _init_mid_fin(a):
             e = (k - sum(p),)
             img = delta_class(_class_of(p))._terms.items()
             if e in appended:

@@ -44,8 +44,9 @@ and on the eliminator's pivot count for each "rank >= r".
 
 Also provided: exact determinants by fraction-free elimination, and
 builders for the integer matrices of the maps alpha and delta on the class
-basis.  The builders hold compositions as binary words in int64 arrays, so
-init, fin, duality and the inverse of mu are bit operations, and they build
+basis.  The builders hold compositions as binary words in int64 arrays,
+indexed by the rows of :mod:`.compositions`, so init, fin, duality and the
+inverse of mu are bit operations, and they build
 delta from alpha one weight at a time,
 D_k = Π_k · diag(D_0, …, D_{k-1}) · A_k; ``delta`` and ``lincomb`` compute
 the same maps on tuple-keyed linear combinations.
@@ -66,7 +67,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .compositions import MAX_WEIGHT
+from .compositions import MAX_WEIGHT, _class_columns
 
 
 class ReconstructionError(RuntimeError):
@@ -720,11 +721,11 @@ def lattices_equal(basis_a, basis_b) -> bool:
 # ---------------------------------------------------------------------------
 # matrices of alpha and delta on the class basis
 #
-# A composition of weight w is handled as its word (``compositions.to_word``)
-# read as a w-bit number, first letter most significant.  An admissible word
-# of weight w >= 2 is 0 m 1 with m a (w-2)-bit number, and m is the
-# composition's row: descending lexicographic order on tuples is ascending
-# order on words.  The empty composition is row 0 of weight 0.
+# Rows, columns and class representatives are the rows of
+# ``compositions`` (an admissible word 0 m 1 has row m), listed by
+# ``compositions._class_columns``.  Here a composition of weight w is its
+# word W read as a w-bit number, first letter most significant, held with
+# its length L, so that init and fin are array operations.
 
 
 def _bit_length(x: np.ndarray) -> np.ndarray:
@@ -749,30 +750,6 @@ def _fin_words(W: np.ndarray, L: np.ndarray):
     leading run of 1s."""
     n = _bit_length(~W & ((1 << (L - 1)) - 1))
     return W & ((1 << n) - 1), n
-
-
-def _dual_rows(m: np.ndarray, w: int) -> np.ndarray:
-    """Rows of the duals of the weight-w rows m (w >= 2): reversing and
-    complementing 0 m 1 gives 0 m' 1, m' the reversed complement of m."""
-    c = ~m
-    out = np.zeros_like(m)
-    for i in range(w - 2):
-        out |= ((c >> i) & 1) << (w - 3 - i)
-    return out
-
-
-def _class_columns(w: int):
-    """(column of the class of every weight-w row, representative rows).
-
-    A class's representative is the member with the smaller word, the
-    tuple-wise larger one that ``DualityClass.rep`` names, so the columns
-    follow ``enumerate_compositions(w, "classes")``."""
-    if w < 2:  # the empty composition alone at weight 0, none at weight 1
-        return np.zeros(1 - w, dtype=np.int64), np.zeros(1 - w, dtype=np.int64)
-    m = np.arange(1 << (w - 2), dtype=np.int64)
-    d = _dual_rows(m, w)
-    rep = m <= d
-    return (np.cumsum(rep) - 1)[np.minimum(m, d)], np.flatnonzero(rep)
 
 
 def _alpha_targets(k: int, classes: list):
@@ -864,17 +841,6 @@ def kernel_of_alpha(k: int, *, need_basis: bool = True) -> KernelCertificate:
     return _cached_kernel("alpha", alpha_matrix, k, need_basis)
 
 
-def _checked_product(C: np.ndarray, A: np.ndarray, k: int) -> np.ndarray:
-    """C @ A in int64 for the weight-k preimage matrix, after a float64 bound
-    |C| @ |A| shows that no entry can wrap around."""
-    bound = (np.abs(C).astype(np.float64) @ np.abs(A).astype(np.float64)).max(initial=0.0)
-    if bound >= 2.0**62:
-        raise ReconstructionError(
-            f"preimage_lattice({k}): a check-matrix product may exceed int64 (bound 2^{math.log2(bound):.1f})"
-        )
-    return C @ A
-
-
 def preimage_lattice(k: int) -> KernelCertificate:
     """The lattice of weight-k class combinations whose alpha image lies,
     weight by weight, in the Q-span of the lower-weight delta kernels.
@@ -896,6 +862,7 @@ def preimage_lattice(k: int) -> KernelCertificate:
             blocks.append(A_kp)
         else:
             check = _cached_kernel("delta-check", lambda kp: kernel_of_delta(kp).basis, kp, True)
-            C = np.asarray(check.basis, dtype=np.int64)
-            blocks.append(_checked_product(C, A_kp, k))
+            # exact whatever the size of the check basis: A_kp's entries
+            # are 0 to 3
+            blocks.append(_mul_exact(_integer_matrix(check.basis), A_kp, int(A_kp.max())))
     return certified_kernel(np.vstack(blocks))

@@ -26,7 +26,7 @@ from fractions import Fraction
 from .compositions import (
     DualityClass,
     _class_of,
-    fin_part,
+    _init_mid_fin,
     format_class,
     format_composition,
     init_part,
@@ -353,11 +353,7 @@ def alpha(lc: LinComb) -> LinComb:
     def one(c: DualityClass) -> LinComb:
         if len(c.rep) == 0:
             raise ValueError("alpha is undefined on the empty class")
-        a = c.rep
-        fin = fin_part(a)
-        # init, mid = init(fin) and fin of an admissible composition are
-        # admissible compositions, so their classes need no re-checking
-        return LinComb((_class_of(p), 1) for p in (a[:-1], fin[:-1], fin))
+        return LinComb((_class_of(p), 1) for p in _init_mid_fin(c.rep))
 
     for b in lc._terms:
         if not isinstance(b, DualityClass):

@@ -57,11 +57,10 @@ from mpmath import mp
 from .compositions import (
     Composition,
     DualityClass,
+    _class_of,
+    _init_mid_fin,
     check_composition,
-    fin_part,
-    init_part,
     is_admissible,
-    mid_part,
 )
 from .delta import delta_class
 from .lincomb import LinComb, Poly, _basis_weight
@@ -792,10 +791,8 @@ def _edges(node) -> tuple:
     key ``()``, whose tail is the base 1/C(2m, m).
     """
     if isinstance(node, DualityClass):
-        a = node.rep
         return tuple(
-            (DualityClass.of(p) if p else (), node.weight - sum(p))
-            for p in (init_part(a), mid_part(a), fin_part(a))
+            (_class_of(p) if p else (), node.weight - sum(p)) for p in _init_mid_fin(node.rep)
         )
     return ((node[:-1], node[-1]),) if node else ()
 

@@ -8,9 +8,8 @@ with one entry of ``b`` by addition.
 convention it vanishes when exactly one argument is empty, and is the empty
 composition when both are.
 
-Both run on integer codes: a sentinel bit, then the composition's word
-(``compositions.to_word``), first letter most significant, as in
-``exact_linalg``.  Prepending an entry and taking the tail are single bit
+Both run on the integer codes of :mod:`.compositions`: a sentinel bit,
+then the composition's word, first letter most significant.  Prepending an entry and taking the tail are single bit
 operations there, and one memoized recursion on codes computes the product;
 ``stuffle`` and ``boxast`` decode its terms into tuple-keyed ``LinComb``
 views.  As everywhere, the order in which a ``LinComb`` holds its terms is
@@ -32,25 +31,8 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .compositions import Composition, check_composition
+from .compositions import Composition, _code, _composition, check_composition
 from .lincomb import LinComb
-
-
-def _code(a: Composition) -> int:
-    """Integer code of a composition: a sentinel bit, then its word
-    (``compositions.to_word``), first letter most significant.  The empty
-    composition is 1, and a code of weight w has ``bit_length`` w + 1."""
-    x = 1
-    for e in a:
-        x = (x << e) | 1
-    return x
-
-
-@lru_cache(maxsize=None)
-def _composition(x: int) -> Composition:
-    """Inverse of :func:`_code` (memoized: a product of weight w has at most
-    2^(w-1) distinct terms, each decoded many times)."""
-    return tuple(map(len, bin(x)[3:].replace("1", "1 ").split()))
 
 
 @lru_cache(maxsize=None)

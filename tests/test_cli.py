@@ -427,6 +427,17 @@ def test_weight8_report_script():
     assert "(conjectural" in proc.stdout
 
 
+def test_delta_tables_script():
+    proc = _python(str(ROOT / "scripts" / "delta_tables.py"), "--weight", "6", timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "delta [6] = 2(6) + 2(5,1) + 2(4,1,1) + 2(3,1,1,1) + 3(2,1,1,1,1)"
+    assert sum(line.startswith("delta [") for line in lines) == 10
+    at = lines.index("square submatrix at weight 6:")
+    assert len(lines[at + 1 :]) == 4
+    assert all(re.fullmatch(r"( +\d+){4}", row) for row in lines[at + 1 :])
+
+
 # --------------------------------------------------------------- delta-matrix
 
 def test_delta_matrix_values(capsys):

@@ -171,12 +171,14 @@ def test_counts():
 
 
 def test_enumeration_descending_lex():
-    for k in (5, 6, 7):
-        comps = enumerate_compositions(k, "admissible")
-        assert list(comps) == sorted(comps, reverse=True)
-        classes = enumerate_compositions(k, "classes")
-        reps = [c.rep for c in classes]
-        assert reps == sorted(reps, reverse=True)
+    for k in range(15):
+        for f in ("admissible", "entries_ge_2", "entries_le_2", "entries_in_23"):
+            comps = enumerate_compositions(k, f)
+            assert list(comps) == sorted(comps, reverse=True), (k, f)
+        reps = [c.rep for c in enumerate_compositions(k, "classes")]
+        assert reps == sorted(reps, reverse=True), k
+        # the representatives are the admissible a with a >= dual(a)
+        assert reps == [a for a in enumerate_compositions(k, "admissible") if a >= dual(a)], k
 
 
 def test_filters_consistent():

@@ -16,7 +16,7 @@ import linalg_oracle as oracle
 import lincomb_oracle
 from conftest import requires_extended
 from lincomb_oracle import class_row_basis, matrix_from_columns
-from zetasigma import exact_linalg
+from zetasigma import compositions, exact_linalg
 from zetasigma.compositions import (
     DualityClass,
     dual,
@@ -31,8 +31,7 @@ from zetasigma.delta import delta_class, delta_explicit
 from zetasigma.exact_linalg import (
     PRIMES21,
     KernelCertificate,
-    ReconstructionError,
-    _checked_product,
+    _integer_matrix,
     _kernel_mod_p_fast,
     _matmul_exact,
     _mul_exact,
@@ -347,12 +346,14 @@ def test_exact_products():
     assert (_mul_exact(A, Y, p - 1) == A.astype(object) @ Y.astype(object)).all()
 
 
-def test_preimage_product_guard():
-    C = np.full((2, 3), 1 << 40, dtype=np.int64)
-    with pytest.raises(ReconstructionError, match=r"preimage_lattice\(13\)"):
-        _checked_product(C, np.full((3, 2), 1 << 30, dtype=np.int64), 13)
-    small = np.full((3, 2), 1 << 20, dtype=np.int64)
-    assert np.array_equal(_checked_product(C, small, 13), np.full((2, 2), 3 << 60))
+def test_preimage_check_product_is_exact_beyond_int64():
+    # preimage_lattice forms each check product C @ A_kp with _mul_exact:
+    # A_kp's entries are 0 to 3, a check basis may have entries of any size,
+    # and the product comes back in Python ints where int64 would wrap
+    A = np.full((3, 2), 3, dtype=np.int64)
+    for e in (40, 61, 70):
+        C = _integer_matrix([[1 << e] * 3] * 2)
+        assert (_mul_exact(C, A, 3) == np.full((2, 2), 9 << e, dtype=object)).all(), e
 
 
 def test_certified_kernel_first_pivot_needs_row_swap():
@@ -646,8 +647,8 @@ def test_word_maps_match_composition_maps(comps):
         assert [_composition(v, l) for v, l in zip(V, n)] == [part(a) for a in comps], name
     for a, w, l in zip(comps, W, L):
         m = np.array([w >> 1])
-        assert _composition(2 * exact_linalg._dual_rows(m, l)[0] + 1, l) == dual(a)
-        col, reps = exact_linalg._class_columns(l)
+        assert _composition(2 * compositions._dual_rows(m, l)[0] + 1, l) == dual(a)
+        col, reps = compositions._class_columns(l)
         classes = enumerate_compositions(l, "classes")
         assert len(reps) == len(classes)
         assert classes[col[w >> 1]] == DualityClass.of(a)
