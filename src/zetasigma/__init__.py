@@ -63,7 +63,6 @@ from .numerics import (
     Precision,
     PrecisionCapError,
     bbb_coefficient,
-    evaluate_reduction,
     pi,
     reduce_integer_entries,
     sigma_oracle,
@@ -109,7 +108,6 @@ __all__ = [
     "depth",
     "dual",
     "enumerate_compositions",
-    "evaluate_reduction",
     "fin_part",
     "from_word",
     "height",

@@ -19,9 +19,11 @@ every modular result is then promoted to a statement over the rationals:
   entries of ``M @ V``; the ``n - r`` verified independent kernel vectors
   prove ``rank <= r``.
 
-Matrix entries may be integers of any size: the matrix is held in int64
-while every entry fits, and in Python ints beyond, which are reduced
-modulo each prime before any float64 work.
+Matrix entries may be integers of any size.  Integer arrays are int64
+while their entries provably fit, and Python ints beyond, a choice made
+where its bound is known: for the input (:func:`_integer_matrix`), for
+every exact product (:func:`_mul_exact`, built from float64 BLAS
+products), for the Hermite basis modulo D and for the p-adic residual.
 
 The kernel basis returned is a basis of the *saturated* integer lattice
 ``ker_Q(M) ∩ Z^n``: a rational combination of the reduced kernel vectors
@@ -33,8 +35,7 @@ congruence, reading its residues in one column of a residue matrix that
 the row operations carry along, then a Hermite basis modulo D (Domich,
 Kannan & Trotter 1987), whose rows have free coordinates in [0, D].  One
 exact product, divided exactly by the d_i, gives the pivot coordinates.
-Arrays are int64 where these bounds fit, and Python ints beyond.  Basis
-vectors of a saturated lattice are automatically primitive.
+Basis vectors of a saturated lattice are automatically primitive.
 
 Two saturated lattices are equal iff their Q-spans are, that is iff
 rank A = rank B = rank [A; B], so :func:`lattices_equal` is three
@@ -98,8 +99,7 @@ def _primes_below(limit: int, count: int) -> tuple[int, ...]:
 #: products accumulated over a <= 2^11-wide panel stay below 2^53, so the
 #: elimination runs on exact float64 matmuls (BLAS).
 PRIMES21 = _primes_below(1 << 21, 12)
-#: primes just below 2^20: verification products, exact float64 matmuls over
-#: slices of up to 2^13 inner terms (q^2 * 2^13 < 2^53).
+#: primes just below 2^20: verification products, three to a word.
 PRIMES20 = _primes_below(1 << 20, 512)
 
 
@@ -266,41 +266,57 @@ def _solve_mod_p(inverse, R: np.ndarray, p: int) -> np.ndarray:
     return _mod_into(v, pf).astype(np.int64)
 
 
-def _matmul_exact(A: np.ndarray, B: np.ndarray, amax: int, bmax: int) -> np.ndarray:
-    """A @ B exactly as int64, for integer arrays with |A| <= amax and
-    |B| <= bmax (amax * bmax < 2^53) whose product fits in int64.
-
-    The products run in float64 on BLAS, over slices of the inner dimension
-    short enough that every partial sum stays an integer below 2^53."""
-    Af, Bf = np.asarray(A, dtype=np.float64), np.asarray(B, dtype=np.float64)
-    step = ((1 << 53) - 1) // max(amax * bmax, 1)
-    k = A.shape[1]
-    if step >= k:
-        return (Af @ Bf).astype(np.int64)
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    for a in range(0, k, step):
-        out += (Af[:, a : a + step] @ Bf[a : a + step]).astype(np.int64)
-    return out
-
-
 _LIMB = 20
 
 
-def _mul_exact(A: np.ndarray, Y: np.ndarray, ymax: int) -> np.ndarray:
-    """A @ Y exactly, for an integer matrix A (int64 or Python ints) and
-    0 <= Y <= ymax < 2^21: an int64 array when |A| * ymax * inner < 2^53,
-    else a Python-int object array summed from the products of 20-bit limbs
-    of A."""
-    amax = int(np.abs(A).max()) if A.size else 0
-    if amax * ymax * A.shape[1] < 1 << 53:
-        return _matmul_exact(A, Y, amax, ymax)
-    top = _LIMB * ((amax.bit_length() - 1) // _LIMB)
-    out = _matmul_exact(A >> top, Y, 1 << _LIMB, ymax).astype(object) << top
+def _limbs(X: np.ndarray):
+    """The largest |X| entry, and X = sum_s X_s 2^s as triples (s, X_s,
+    bound) with X_s in float64 and |X_s| <= bound: X itself when its entries
+    are below 2^21, else its 20-bit limbs, the top one signed."""
+    xmax = max(int(X.max()), -int(X.min())) if X.size else 0
+    if xmax < 1 << 21:
+        return xmax, [(0, X.astype(np.float64), xmax)]
+    top = _LIMB * ((xmax.bit_length() - 1) // _LIMB)
     mask = (1 << _LIMB) - 1
-    for shift in range(0, top, _LIMB):
-        limb = (A >> shift) & mask
-        out += _matmul_exact(limb, Y, mask, ymax).astype(object) << shift
-    return out
+    low = [(s, ((X >> s) & mask).astype(np.float64), mask) for s in range(0, top, _LIMB)]
+    return xmax, low + [(top, (X >> top).astype(np.float64), 1 << _LIMB)]
+
+
+def _float_product(X: np.ndarray, Y: np.ndarray, bound: int) -> np.ndarray:
+    """X @ Y as int64, for float64 integer arrays whose entrywise products
+    are at most bound in magnitude: BLAS over slices of the inner dimension
+    short enough that every partial sum stays an integer below 2^53."""
+    step = ((1 << 53) - 1) // max(bound, 1)
+    slices = range(0, max(X.shape[1], 1), step)
+    return sum((X[:, a : a + step] @ Y[a : a + step]).astype(np.int64) for a in slices)
+
+
+def _mul_exact(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B exactly, for integer arrays (int64 or Python ints) of any size
+    and sign: int64 when |A| |B| k < 2^63 (k the inner dimension) proves
+    that it fits, Python ints otherwise.
+
+    A factor with an entry of 2^21 or more is cut into 20-bit limbs
+    (:func:`_limbs`), and each product of limbs is formed by
+    :func:`_float_product`.  int64 sums wrap modulo 2^64, so they are exact
+    whenever the value they reach fits: an int64 result adds the shifted
+    limb products in int64.  Otherwise the limb products with the same
+    shift are summed in int64 over inner slices on which that sum stays
+    below 2^63, and converted to Python ints once per slice."""
+    amax, la = _limbs(A)
+    bmax, lb = _limbs(B)
+    terms = [(sa + sb, X, Y, xb * yb) for sa, X, xb in la for sb, Y, yb in lb]
+    k = A.shape[1]
+    if amax * bmax * k < 1 << 63:
+        return sum(_float_product(X, Y, b) << s for s, X, Y, b in terms)
+    shifts = sorted({s for s, *_ in terms})
+    step = ((1 << 63) - 1) // max(sum(b for s2, *_, b in terms if s2 == s) for s in shifts)
+    out = []
+    for a in range(0, k, step):
+        for s in shifts:
+            group = [(X[:, a : a + step], Y[a : a + step], b) for s2, X, Y, b in terms if s2 == s]
+            out.append(sum(_float_product(*f) for f in group).astype(object) << s)
+    return sum(out[1:], out[0])
 
 
 def _padic_rows(words: tuple, base: int):
@@ -335,9 +351,10 @@ def _padic_solutions(Mr: np.ndarray, p: int, pivots, free, inverse):
         # one spare bit covers the float rounding of the bound
         limit_bits = math.ceil(float(np.log2(sq).sum())) + 2
     A, B = Mr[:, list(pivots)], Mr[:, free]
-    # an int64 residual cannot wrap while |B| < 2^62, as int64 products of
-    # A stay below 2^53; wider B starts in Python ints
-    res = B if int(np.abs(B).max()) < 1 << 62 else B.astype(object)
+    # as each digit is below p, the residual stays below |Mr| (r + 1), and
+    # below |Mr| p (r + 1) within a step: under 2^63 it and the products
+    # A y are int64
+    res = B if int(np.abs(Mr).max()) * p * (len(pivots) + 1) < 1 << 63 else B.astype(object)
     words: tuple = ()
     s, mod = 0, 1
     while True:
@@ -351,7 +368,7 @@ def _padic_solutions(Mr: np.ndarray, p: int, pivots, free, inverse):
         yield _padic_rows(words, base), mod
         if mod.bit_length() > limit_bits:
             return
-        res = (res - _mul_exact(A, y, p - 1)) // p
+        res = (res - _mul_exact(A, y)) // p
 
 
 def _ratrec_matrix(
@@ -438,8 +455,9 @@ def _gather(V: np.ndarray, rows: np.ndarray, vals: np.ndarray, D: int) -> int:
 def _coefficient_hermite(Gm: np.ndarray, dens: Sequence[int], D: int) -> np.ndarray:
     """Upper-triangular Z-basis H, entries in [0, D], of the lattice of
     integer vectors lambda with Gm[i] . lambda = 0 mod dens[i] for every i,
-    where every dens[i] divides D and Gm, with entries in [0, D), has dtype
-    int64 (when D < 2^31, so that 2 D^2 < 2^63) or object.
+    where every dens[i] divides D and Gm has entries in [0, D).  Every value
+    formed is below 2 D^2, so the work is in int64 when D < 2^31 and in
+    Python ints beyond.
 
     The lattice contains D * Z^t, so every row operation may reduce its
     result modulo D: that adds multiples of D * e_j, which the lattice
@@ -456,7 +474,8 @@ def _coefficient_hermite(Gm: np.ndarray, dens: Sequence[int], D: int) -> np.ndar
     at column c, and (D / g) * p mod D, zero at column c, stays a working
     row.  A column without working entries has the basis row D * e_c."""
     k, t = Gm.shape
-    A = np.zeros((t, k + t), dtype=Gm.dtype)
+    dtype = np.int64 if D < 1 << 31 else object
+    A = np.zeros((t, k + t), dtype=dtype)
     A[:, :k] = Gm.T
     A[:, k:] = np.eye(t, dtype=np.int64)
     for i, d in enumerate(dens):
@@ -469,7 +488,7 @@ def _coefficient_hermite(Gm: np.ndarray, dens: Sequence[int], D: int) -> np.ndar
         if s > 1:
             V[nz[-1]] = s * V[nz[-1]] % D
     W = A[:, k:]
-    H = np.zeros((t, t), dtype=Gm.dtype)
+    H = np.zeros((t, t), dtype=dtype)
     for c in range(t):
         V = W[:, c:]
         nz = np.flatnonzero(V[:, 0])
@@ -496,32 +515,21 @@ def _saturate(F, pivots, free, n) -> tuple[tuple[int, ...], ...]:
     contains D * Z^t.  The basis rows come from the rows lambda of its
     Hermite basis modulo D (:func:`_coefficient_hermite`): their free
     coordinates lie in [0, D], and their pivot coordinates are
-    G lambda / d, below t * D * max|G|.  Arrays are int64 where these
-    bounds keep every value exact, and Python ints beyond: the Hermite
-    basis needs D < 2^31, and the back-substitution, one product G @ H.T
-    by :func:`_matmul_exact` divided exactly by d, needs D * max|G| < 2^53
-    and t * D * max|G| < 2^63."""
-    r, t = len(pivots), len(free)
+    G lambda / d, one exact product G @ H.T (:func:`_mul_exact`) divided
+    exactly by d."""
+    t = len(free)
     if t == 0:
         return ()
     # pivot row i of the reduced kernel vectors is G[i] / row_den[i]
     row_den = [lcm(*[den for _, den in row]) for row in F]
-    G = np.array([[-num * (d // den) for num, den in row] for row, d in zip(F, row_den)], dtype=object)
-    G = G.reshape(r, t)
+    G = _integer_matrix([[-num * (d // den) for num, den in row] for row, d in zip(F, row_den)])
+    den = _integer_matrix(row_den)[:, None]
     D = lcm(*row_den)
-    gmax = max(G.max(initial=0), -G.min(initial=0))
-    if gmax < 1 << 63:
-        G = G.astype(np.int64)
-    den = np.array(row_den, dtype=np.int64 if D < 1 << 63 else object).reshape(r, 1)
     live = den[:, 0] > 1
-    Gm = (G[live] % den[live]).astype(np.int64 if D < 1 << 31 else object)
-    H = _coefficient_hermite(Gm, den[live, 0].tolist(), D)
+    H = _coefficient_hermite(G[live] % den[live], den[live, 0].tolist(), D)
     if not all(H.diagonal()):
         raise ReconstructionError("coefficient lattice lost full rank")
-    if gmax * D < 1 << 53 and t * gmax * D < 1 << 63:
-        P = _matmul_exact(G, H.T, gmax, D)
-    else:
-        P = G.astype(object) @ H.T.astype(object)
+    P = _mul_exact(G, H.T)
     if np.any(P % den):
         raise ReconstructionError("saturation produced a non-integer entry")
     V = np.zeros((n, t), dtype=P.dtype)
@@ -563,11 +571,14 @@ class KernelCertificate:
 
 def _verify_product(M, mmax, P, L, pivots, free):
     """Exactly establish M @ V == 0 for the integer kernel matrix V with
-    diag(L) on the free rows and P on the pivot rows, by modular checks whose
-    combined modulus exceeds twice a bound on |M @ V| entries."""
+    diag(L) on the free rows and the integer array P on the pivot rows, by
+    modular checks whose combined modulus exceeds twice a bound on |M @ V|
+    entries.  The primes go three at a time (their product is below 2^63):
+    V's residues modulo the three stand side by side, and each slice of M
+    meets them in one product."""
     m, n = M.shape
     t = len(free)
-    vmax = max([1] + [abs(x) for x in L] + [abs(x) for row in P for x in row])
+    vmax = max([1, int(np.abs(P).max())] + list(L))
     bound = 2 * n * max(mmax, 1) * vmax
     qs, prod = [], 1
     for q in PRIMES20:
@@ -577,31 +588,21 @@ def _verify_product(M, mmax, P, L, pivots, free):
             break
     if prod <= bound:
         raise ReconstructionError("verification primes exhausted")
-    free_idx = np.array(free, dtype=np.intp)
-    piv_idx = np.array(pivots, dtype=np.intp)
-    # when every |M| entry is below every q, M needs no reduction and one
-    # float64 copy serves all primes.  P's residues come from one int64 copy
-    # when P fits, else from one Python pass over P per three primes, whose
-    # product stays below 2^63
-    Mf = M.astype(np.float64) if mmax < qs[-1] else None
-    Pw = np.array(P, dtype=np.int64) if vmax < 1 << 63 else None
     for g in range(0, len(qs), 3):
         group = qs[g : g + 3]
-        if Pw is None:
-            Q = math.prod(group)
-            Pg = np.array([[x % Q for x in row] for row in P], dtype=np.int64)
-        else:
-            Pg = Pw
-        for q in group:
-            V = np.zeros((n, t), dtype=np.float64)
-            V[free_idx, np.arange(t)] = [x % q for x in L]
-            if pivots:
-                V[piv_idx, :] = Pg % q
-            for a in range(0, m, 4096):  # bounds the size of the residue slices
-                Ma = M[a : a + 4096] % q if Mf is None else Mf[a : a + 4096]
-                C = _matmul_exact(Ma, V, min(mmax, q - 1), q - 1)
-                if np.any(C % q):
-                    return False
+        qv = np.array(group)[:, None]
+        V = np.zeros((n, len(group), t), dtype=np.int64)
+        V[free, :, np.arange(t)] = [[x % q for q in group] for x in L]
+        V[list(pivots)] = (P % math.prod(group)).astype(np.int64)[:, None] % qv
+        V = V.reshape(n, -1)
+        for a in range(0, m, 4096):  # bounds the size of the product slices
+            Ma = M[a : a + 4096]
+            if mmax < group[-1]:
+                C = _mul_exact(Ma, V)
+            else:  # Ma reduced modulo each prime first keeps each product in int64
+                C = np.hstack([_mul_exact(Ma % q, V[:, j * t : (j + 1) * t]) for j, q in enumerate(group)])
+            if np.any(C.reshape(len(C), len(group), t) % qv):
+                return False
     return True
 
 
@@ -653,7 +654,7 @@ def certified_kernel(mat, *, need_basis: bool = True) -> KernelCertificate:
             if got is None:
                 continue
             F, L = got
-            P = [[-num * (L[f] // den) for f, (num, den) in enumerate(row)] for row in F]
+            P = _integer_matrix([[-num * (L[f] // den) for f, (num, den) in enumerate(row)] for row in F])
             if _verify_product(M, mmax, P, L, pivots, free):
                 basis = _saturate(F, pivots, free, n) if need_basis else None
                 return KernelCertificate(m, n, rank, basis, (p,))
@@ -862,7 +863,5 @@ def preimage_lattice(k: int) -> KernelCertificate:
             blocks.append(A_kp)
         else:
             check = _cached_kernel("delta-check", lambda kp: kernel_of_delta(kp).basis, kp, True)
-            # exact whatever the size of the check basis: A_kp's entries
-            # are 0 to 3
-            blocks.append(_mul_exact(_integer_matrix(check.basis), A_kp, int(A_kp.max())))
+            blocks.append(_mul_exact(_integer_matrix(check.basis), A_kp))
     return certified_kernel(np.vstack(blocks))

@@ -262,7 +262,7 @@ class LinComb:
         return isinstance(other, LinComb) and self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset((b, _hashable_coeff(c)) for b, c in self._terms.items()))
+        return hash(frozenset(self._terms.items()))
 
     def __str__(self) -> str:
         if not self._terms:
@@ -309,10 +309,6 @@ class LinComb:
                 b = tuple(int(x) for x in bj)
             terms.append((b, c))
         return LinComb(terms)
-
-
-def _hashable_coeff(c):
-    return c if not isinstance(c, Poly) else ("Poly", c.coeffs)
 
 
 def mu(lc: LinComb) -> LinComb:

@@ -81,7 +81,6 @@ __all__ = [
     "eu128_matrix",
     "eu129_matrix",
     "evaluate",
-    "evaluate_reduction",
     "harmonic",
     "hurwitz_rational",
     "pi",
@@ -659,59 +658,41 @@ def eu128_matrix() -> list:
     ]
 
 
-def _vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def _vec_scale(u, c):
-    return tuple(a * Fraction(c) for a in u)
-
-
-def _solve_single(zvec, dlc: LinComb, known: dict, unknown: Composition):
-    """Given zvec = sum_b coeff(b) * vec(b) with every b but `unknown` known,
-    return vec(unknown)."""
-    acc = zvec
-    piv = None
-    for b, c in dlc.items():
-        if tuple(b) == tuple(unknown):
-            piv = Fraction(c)
-            continue
-        acc = _vec_sub(acc, _vec_scale(known[tuple(b)], c))
-    if piv is None:
-        raise ValueError(f"{unknown} not in support")
-    return tuple(a / piv for a in acc)
-
-
 def eu129_matrix() -> list:
     """Rows: coordinates of sigma(5), sigma(4,1), 2 sigma(3,1,1) + 3 sigma(2,1,1,1)
     over (y, z, w), derived exactly from the weight-5 coefficient vectors and the
     map delta; internal cross-checks are asserted."""
-    s32 = weight5_xyzw(th8_coeffs(0, 1))
-    s23 = weight5_xyzw(th8_coeffs(1, 0))
-    s221 = weight5_xyzw(th7_coeffs(2, 0))
-    s212 = weight5_xyzw(th7_coeffs(1, 1))
+    s32, s23 = th8_coeffs(0, 1), th8_coeffs(1, 0)
+    s221, s212 = th7_coeffs(2, 0), th7_coeffs(1, 1)
     known = {(3, 2): s32, (2, 3): s23, (2, 2, 1): s221, (2, 1, 2): s212}
+    z5 = ConstantBasisVector.build(5, {2: 1})
+    z41 = ConstantBasisVector.build(5, dict(zip((1, 2), ZETA41_ZW)))
 
-    zw32 = weight5_xyzw(zagier_coeffs(0, 1))
-    zw23 = weight5_xyzw(zagier_coeffs(1, 0))
-    z5 = (Fraction(0), Fraction(0), Fraction(0), Fraction(1))
-    z41 = (Fraction(0), Fraction(0)) + ZETA41_ZW
+    def solve(zvec, rep: Composition, unknown: Composition) -> ConstantBasisVector:
+        """The vector of sigma(unknown), from zvec, that of zeta_sym(rep) =
+        delta([rep]), with every other sigma in its support known."""
+        dlc = delta_class(DualityClass.of(rep))
+        for b, c in dlc.items():
+            if b != unknown:
+                zvec = zvec - known[b].scale(c)
+        piv = dlc.coefficient_of(unknown)
+        if not piv:
+            raise ValueError(f"{unknown} not in support")
+        return zvec.scale(Fraction(1, piv))
 
-    u = _solve_single(zw32, delta_class(DualityClass.of((3, 2))), known, (4, 1))
-    v = _solve_single(zw23, delta_class(DualityClass.of((2, 3))), known, (5,))
+    u = solve(zagier_coeffs(0, 1), (3, 2), (4, 1))
+    v = solve(zagier_coeffs(1, 0), (2, 3), (5,))
 
     d5 = delta_class(DualityClass.of((5,)))
     assert d5.coefficient_of((5,)) == 2 and d5.coefficient_of((4, 1)) == 2
     assert d5.coefficient_of((3, 1, 1)) == 2 and d5.coefficient_of((2, 1, 1, 1)) == 3
-    q = _vec_sub(z5, tuple(2 * (a + b) for a, b in zip(u, v)))
+    q = z5 - (u + v).scale(2)
 
     d41 = delta_class(DualityClass.of((4, 1)))
     assert d41.coefficient_of((3, 1, 1)) == 6 and d41.coefficient_of((2, 1, 1, 1)) == 9
-    rhs = tuple(
-        2 * uu + 2 * aa + 3 * bb + 3 * cc + 3 * qq
-        for uu, aa, bb, cc, qq in zip(u, s32, s221, s212, q)
-    )
+    rhs = (u + s32).scale(2) + (s221 + s212 + q).scale(3)
     assert rhs == z41, "weight-5 relation cross-check failed"
+    u, v, q = (weight5_xyzw(x) for x in (u, v, q))
     assert u[0] == v[0] == q[0] == 0
     return [list(v[1:]), list(u[1:]), list(q[1:])]
 
@@ -897,7 +878,8 @@ def evaluate(lc: LinComb, n: int = 0, digits=None) -> ApproxReal:
 
     The key type picks the tail: a composition b gives sigma(b)_n and a
     DualityClass b gives zeta_sym(b)_n; the key ``()`` gives 1/C(2n, n).
-    Coefficients are rational.
+    Coefficients are rational, or polynomials in n (:class:`Poly`), as
+    :func:`reduce_integer_entries` returns, which are evaluated at n.
 
     >>> zeta3 = LinComb({(3,): 2, (2, 1): 3})
     >>> residual_upper(zeta_int(3, 30), evaluate(zeta3, 0, 30)) < 1e-30
@@ -911,7 +893,7 @@ def evaluate(lc: LinComb, n: int = 0, digits=None) -> ApproxReal:
     B, out = _descend(keys, n, d)
     x = e = Fraction(0)
     for b, c in lc.items():
-        c = Fraction(c)
+        c = Fraction(c.evaluate(n) if isinstance(c, Poly) else c)
         x += c * out[b][0]
         e += abs(c) * out[b][1]
     return _enclosure(B, x, e)
@@ -1220,14 +1202,3 @@ def reduce_integer_entries(a) -> LinComb:
     _REDUCE_MEMO[key] = out
     return out
 
-
-def evaluate_reduction(plc: LinComb, n: int, low_digits: int = 15) -> ApproxReal:
-    """Contract a polynomial-coefficient combination of sigma sums at tail
-    index n using the direct oracle."""
-    with mp.workprec(_bits(low_digits + 8, 64)):
-        out = ApproxReal(0, 0)
-        for b, poly in plc.items():
-            coeff = poly.evaluate(Fraction(n)) if isinstance(poly, Poly) else Fraction(poly)
-            term = sigma_oracle(b, n, low_digits).scale(coeff)
-            out = out + term
-        return out

@@ -33,7 +33,6 @@ from zetasigma.exact_linalg import (
     KernelCertificate,
     _integer_matrix,
     _kernel_mod_p_fast,
-    _matmul_exact,
     _mul_exact,
     _padic_solutions,
     _ratrec,
@@ -335,15 +334,49 @@ def test_ratrec_matrix_matches_entrywise(case):
 
 def test_exact_products():
     rng = np.random.default_rng(7)
-    # entries of 26 bits: every slice of the inner dimension holds one term
+    # entries of 26 bits: both factors are cut into limbs, and the product
+    # fits int64
     A = rng.integers(-(1 << 26), 1 << 26, size=(4, 5))
     B = rng.integers(-(1 << 26), 1 << 26, size=(5, 3))
-    assert np.array_equal(_matmul_exact(A, B, 1 << 26, 1 << 26), A.astype(object) @ B.astype(object))
+    got = _mul_exact(A, B)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, A.astype(object) @ B.astype(object))
     # 62-bit entries take the limb path, whose result no int64 holds
     p = PRIMES21[0]
     A = rng.integers(-(1 << 62), 1 << 62, size=(3, 6))
     Y = rng.integers(0, p, size=(6, 2))
-    assert (_mul_exact(A, Y, p - 1) == A.astype(object) @ Y.astype(object)).all()
+    assert (_mul_exact(A, Y) == A.astype(object) @ Y.astype(object)).all()
+
+
+@st.composite
+def exact_product_factors(draw):
+    """A pair of integer factors, each int64 or Python ints up to 2^200 in
+    magnitude, with zeros and inner dimensions down to 0."""
+    m, k, n = draw(st.integers(0, 3)), draw(st.integers(0, 4)), draw(st.integers(0, 3))
+
+    def factor(rows, cols):
+        if draw(st.booleans()):
+            bits, dtype, lo = draw(st.sampled_from([1, 20, 21, 40, 63])), np.int64, -(1 << 63)
+        else:
+            bits, dtype, lo = draw(st.sampled_from([1, 21, 64, 100, 200])), object, -(1 << 200)
+        entries = st.one_of(st.just(0), st.integers(max(lo, -(1 << bits)), (1 << bits) - 1))
+        return np.array([[draw(entries) for _ in range(cols)] for _ in range(rows)], dtype=dtype).reshape(rows, cols)
+
+    return factor(m, k), factor(k, n)
+
+
+@given(exact_product_factors())
+@example((np.zeros((2, 0), dtype=np.int64), np.zeros((0, 3), dtype=object)))
+@example((np.full((1, 1), -(1 << 63), dtype=np.int64), np.full((1, 1), -1, dtype=np.int64)))
+def test_mul_exact_matches_object_product(factors):
+    A, B = factors
+    got = _mul_exact(A, B)
+    want = A.astype(object) @ B.astype(object)
+    assert got.shape == want.shape
+    assert all(int(x) == y for x, y in zip(got.flat, want.flat))
+    # int64 exactly when the bound |A| |B| k proves that the product fits
+    bound = max([0] + [abs(int(x)) for x in A.flat]) * max([0] + [abs(int(x)) for x in B.flat]) * A.shape[1]
+    assert (got.dtype == np.int64) == (bound < 1 << 63)
 
 
 def test_preimage_check_product_is_exact_beyond_int64():
@@ -353,7 +386,7 @@ def test_preimage_check_product_is_exact_beyond_int64():
     A = np.full((3, 2), 3, dtype=np.int64)
     for e in (40, 61, 70):
         C = _integer_matrix([[1 << e] * 3] * 2)
-        assert (_mul_exact(C, A, 3) == np.full((2, 2), 9 << e, dtype=object)).all(), e
+        assert (_mul_exact(C, A) == np.full((2, 2), 9 << e, dtype=object)).all(), e
 
 
 def test_certified_kernel_first_pivot_needs_row_swap():
@@ -484,7 +517,7 @@ def test_replayed_inverse_past_a_reduction():
     R = rng.integers(0, p, size=(r, 2))
     y = _solve_mod_p(inverse, R, p)
     A = M[list(rows)][:, list(pivots)]
-    assert (_matmul_exact(A, y, 2, p - 1) % p == R).all()
+    assert (_mul_exact(A, y) % p == R).all()
 
 
 # ------------------------------------------------------- the fraction oracle

@@ -627,7 +627,7 @@ def test_reduce_supports_are_compositions():
 def test_reduce_matches_direct_summation(a):
     red = num.reduce_integer_entries(a)
     for n in (0, 1, 2):
-        lhs = num.evaluate_reduction(red, n)
+        lhs = num.evaluate(red, n, 15)
         rhs = num.sigma_oracle(a, n, 15)
         assert num.agrees_to_digits(lhs, rhs, 12), (a, n)
 
@@ -645,8 +645,8 @@ def test_error_bounds_sound_under_refinement():
         (num.zeta_sym_tail((3, 1), 1, 25), num.zeta_sym_tail((3, 1), 1, 35)),
         (num.th8_coeffs(0, 0).evaluate(25), num.th8_coeffs(0, 0).evaluate(35)),
         (
-            num.evaluate_reduction(num.reduce_integer_entries((0, 3)), 1, 10),
-            num.evaluate_reduction(num.reduce_integer_entries((0, 3)), 1, 20),
+            num.evaluate(num.reduce_integer_entries((0, 3)), 1, 10),
+            num.evaluate(num.reduce_integer_entries((0, 3)), 1, 20),
         ),
         (num.sigma_oracle((2, 1), 0, 10), num.sigma_oracle((2, 1), 0, 20)),
         (
