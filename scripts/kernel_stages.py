@@ -1,23 +1,29 @@
 #!/usr/bin/env python3
-"""Time the stages of one cold certified kernel of the delta or alpha matrix.
+"""Time the stages of one cold certified kernel of the delta or alpha matrix,
+as ``kernel_of_delta`` / ``kernel_of_alpha`` computes it.
 
 Wraps the stage functions of ``zetasigma.exact_linalg`` from outside, so the
 package runs unchanged, and charges every moment to the innermost stage
 running then:
 
+  lower           (delta only) the rank-only kernel_of_delta of every lower
+                  weight, whose pivot rows give the rows S_k of D_k that
+                  kernel_of_delta eliminates; run first, before the other
+                  stages are timed, and charged here whole
   build           delta_matrix / alpha_matrix
   elimination     _kernel_mod_p_fast, once per prime tried: rank, pivots
                   and the replayable A^-1 mod p
   lifting         _padic_solutions: every p-adic digit, the first included,
                   and the Python-int rows it hands out
   reconstruction  _ratrec_matrix
-  verification    _verify_product
+  verification    _verify_product, against all rows of the matrix
   saturation      _saturate (with --basis only)
-  other           the rest of certified_kernel
+  other           the rest of kernel_of_delta / kernel_of_alpha
 
-Then prints, with --basis, the largest basis entry in bits, and the
-process's peak resident set size (``ru_maxrss``, which Linux reports in
-KiB), build included.
+Then prints the rows each elimination ran on against the rows of the
+matrix, with --basis the largest basis entry in bits, and the process's
+peak resident set size (``ru_maxrss``, which Linux reports in KiB), build
+included.
 
 Run with BLAS on one thread (OPENBLAS_NUM_THREADS=1) for figures that
 compare across runs.
@@ -33,7 +39,7 @@ import time
 
 from zetasigma import exact_linalg as el
 
-STAGES = ("build", "elimination", "lifting", "reconstruction", "verification", "saturation", "other")
+STAGES = ("lower", "build", "elimination", "lifting", "reconstruction", "verification", "saturation", "other")
 
 
 class Clock:
@@ -70,15 +76,25 @@ class Clock:
         return self.call(name, next, it, None)
 
 
-def install(clock: Clock) -> None:
-    """Replace the stage functions in exact_linalg by timed wrappers."""
+def install(clock: Clock) -> list[int]:
+    """Replace the stage functions in exact_linalg by timed wrappers; the
+    list returned collects the row count of each elimination."""
     for attr, name in (
-        ("_kernel_mod_p_fast", "elimination"),
+        ("delta_matrix", "build"),
+        ("alpha_matrix", "build"),
         ("_ratrec_matrix", "reconstruction"),
         ("_verify_product", "verification"),
         ("_saturate", "saturation"),
     ):
         setattr(el, attr, functools.partial(clock.call, name, getattr(el, attr)))
+    eliminated: list[int] = []
+    eliminate = el._kernel_mod_p_fast
+
+    def elimination(M, *args, **kwargs):
+        eliminated.append(M.shape[0])
+        return clock.call("elimination", eliminate, M, *args, **kwargs)
+
+    el._kernel_mod_p_fast = elimination
     solutions = el._padic_solutions
 
     def rows(approx):
@@ -93,6 +109,7 @@ def install(clock: Clock) -> None:
             yield rows(approx), mod
 
     el._padic_solutions = lifting
+    return eliminated
 
 
 def main() -> int:
@@ -106,18 +123,20 @@ def main() -> int:
         ap.error(f"--weight must be in {lo}..16 for --map {args.map}")
 
     clock = Clock()
-    install(clock)
-    build = el.delta_matrix if args.map == "delta" else el.alpha_matrix
-    M = clock.call("build", build, args.weight)
+    kernel = el.kernel_of_delta if args.map == "delta" else el.kernel_of_alpha
+    if args.map == "delta":
+        clock.call("lower", lambda: [el.kernel_of_delta(w, need_basis=False) for w in range(args.weight)])
+    eliminated = install(clock)
     t0 = time.perf_counter()
-    cert = clock.call("other", el.certified_kernel, M, need_basis=args.basis)
+    cert = clock.call("other", kernel, args.weight, need_basis=args.basis)
     total = time.perf_counter() - t0
 
-    print(f"{args.map} weight {args.weight}: {M.shape[0]} x {M.shape[1]}, rank {cert.rank}, "
+    print(f"{args.map} weight {args.weight}: {cert.n_rows} x {cert.n_cols}, rank {cert.rank}, "
           f"nullity {cert.nullity}, primes {list(cert.primes)}")
+    print(f"rows eliminated {eliminated} of {cert.n_rows}")
     for name in STAGES:
         print(f"{name:<15} {clock.seconds[name]:8.3f} s")
-    print(f"{'certified_kernel':<15} {total:8.3f} s")
+    print(f"{kernel.__name__:<15} {total:8.3f} s")
     if args.basis:
         bits = max((abs(x).bit_length() for v in cert.basis for x in v), default=0)
         print(f"basis entry bits {bits:7d}")

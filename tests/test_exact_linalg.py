@@ -18,6 +18,7 @@ from conftest import requires_extended
 from lincomb_oracle import class_row_basis, matrix_from_columns
 from zetasigma import compositions, exact_linalg
 from zetasigma.compositions import (
+    MAX_WEIGHT,
     DualityClass,
     dual,
     enumerate_compositions,
@@ -29,8 +30,10 @@ from zetasigma.compositions import (
 )
 from zetasigma.delta import delta_class, delta_explicit
 from zetasigma.exact_linalg import (
+    PRIMES20,
     PRIMES21,
     KernelCertificate,
+    _certify,
     _integer_matrix,
     _kernel_mod_p_fast,
     _mul_exact,
@@ -262,17 +265,65 @@ def test_certified_kernel_lifting_steps(monkeypatch):
 
 
 def test_certified_kernel_one_elimination_per_prime(monkeypatch):
-    # lifting replays the panels of the elimination, so no second one runs
-    primes = []
+    # lifting replays the panels of the elimination, so no second one runs;
+    # a row hint that misses part of the row space costs exactly one more
+    # elimination, of all rows
+    runs = []
     eliminate = exact_linalg._kernel_mod_p_fast
 
     def spy(M, p, *args, **kwargs):
-        primes.append(p)
+        runs.append((p, M.shape[0]))
         return eliminate(M, p, *args, **kwargs)
 
     monkeypatch.setattr(exact_linalg, "_kernel_mod_p_fast", spy)
     assert certified_kernel(LIFTED).primes == (PRIMES21[0],)
-    assert primes == [PRIMES21[0]]
+    assert runs == [(PRIMES21[0], 2)]
+    runs.clear()
+    M = _integer_matrix(LIFTED + [[1, 0, 0]])
+    assert _certify(M, True, [0, 1]) == _certify(M, True)
+    assert runs == [(PRIMES21[0], 2), (PRIMES21[0], 3), (PRIMES21[0], 3)]
+
+
+@st.composite
+def matrices_with_row_hints(draw):
+    """(rows, hint): a matrix from wide_int_matrices and distinct row
+    indices, in any order, that span its row space, or miss part of it by
+    one row of a spanning set, or are drawn freely."""
+    rows = draw(wide_int_matrices())
+    m = len(rows)
+    spanning = []  # the rows that raise the rank of the rows before them
+    for i in range(m):
+        if oracle.rank_fraction([rows[j] for j in spanning + [i]]) > len(spanning):
+            spanning.append(i)
+    how = draw(st.sampled_from(["spanning", "missing", "free"]))
+    if how == "spanning":
+        extra = draw(st.lists(st.integers(0, m - 1), unique=True))
+        hint = sorted(set(spanning).union(extra))
+    elif how == "missing" and spanning:
+        hint = spanning[:]
+        del hint[draw(st.integers(0, len(hint) - 1))]
+    else:
+        hint = draw(st.lists(st.integers(0, m - 1), unique=True))
+    return rows, draw(st.permutations(hint))
+
+
+@given(matrices_with_row_hints())
+@example(([[1, 1, 0], [0, 1, 1]], [0]))  # the hinted row misses the second: rebuilt on all rows
+@example(([[0, 0, 0], [2, 1, 1]], [0]))  # a zero hinted row
+@example(([[1, 2], [2, 4]], [1]))
+def test_row_hint_changes_no_certificate(case):
+    rows, hint = case
+    M = _integer_matrix(rows)
+    hinted = _certify(M, True, hint)
+    want = _certify(M, True)
+    got = (hinted.n_rows, hinted.n_cols, hinted.rank, hinted.basis)
+    assert got == (want.n_rows, want.n_cols, want.rank, want.basis)
+    assert hinted.rank == oracle.rank_fraction(rows)
+    assert oracle.lattices_equal(hinted.basis, [_cleared(v) for v in oracle.fraction_kernel(rows)])
+    # the pivot rows are rows of M that carry the rank modulo a check prime
+    assert len(set(hinted.rows)) == len(hinted.rows) == hinted.rank
+    assert all(0 <= i < len(rows) for i in hinted.rows)
+    assert _kernel_mod_p_int(M[list(hinted.rows)], PRIMES20[0])[0] == hinted.rank
 
 
 def _ratrec_matrix_entrywise(big, mod):
@@ -712,6 +763,36 @@ def test_alpha_kernel_table():
 def test_delta_kernel_table():
     for k, want in DELTA_NULLITY.items():
         assert kernel_of_delta(k).nullity == want, k
+
+
+def test_delta_kernel_on_lower_pivot_rows_matches_all_rows():
+    # eliminating the images of the lower pivot rows changes no certificate
+    for k in range(13):
+        got, want = kernel_of_delta(k), certified_kernel(delta_matrix(k))
+        assert (got.n_rows, got.rank, got.basis, got.primes) == (want.n_rows, want.rank, want.basis, want.primes), k
+
+
+def test_delta_kernel_13_from_cold_cache(monkeypatch):
+    monkeypatch.setattr(exact_linalg, "_CERT_CACHE", {})
+    cert = kernel_of_delta(13, need_basis=False)
+    assert (cert.n_rows, cert.nullity) == (2048, 78)
+    # eliminated on the 968 images of the lower pivot rows, not on all 2048
+    assert len(exact_linalg._delta_pivot_rows(13)) == 968
+    assert len(cert.rows) == cert.rank and set(cert.rows) <= set(exact_linalg._delta_pivot_rows(13))
+
+
+@pytest.mark.parametrize("k", [-1, MAX_WEIGHT + 1])
+def test_kernel_of_delta_refuses_weights_before_any_lower_certificate(monkeypatch, k):
+    # refused up front: no lower weight is built (the spy fails fast where
+    # the recursion would certify weights 0..63 first)
+    def built(w):
+        raise AssertionError(f"delta_matrix({w}) built for kernel_of_delta({k})")
+
+    monkeypatch.setattr(exact_linalg, "_CERT_CACHE", {})
+    monkeypatch.setattr(exact_linalg, "delta_matrix", built)
+    with pytest.raises(ValueError, match="required"):
+        kernel_of_delta(k)
+    assert exact_linalg._CERT_CACHE == {}
 
 
 WEIGHT6_GENERATOR = (2, -2, 4, 1, 1, -2, -1, -2, 1, -2)
