@@ -23,6 +23,10 @@ every modular result is then promoted to a statement over the rationals:
   exceeds twice an explicit bound on the entries of ``M @ V``; the
   ``n - r`` verified independent kernel vectors prove ``rank <= r``.
 
+Each certificate records its own stages in ``stats`` (:class:`KernelStats`):
+the seconds of elimination, lifting, reconstruction, verification and
+saturation, the rows of each elimination, and the lifting steps.
+
 Matrix entries may be integers of any size.  Integer arrays are int64
 while their entries provably fit, and Python ints beyond, a choice made
 where its bound is known: for the input (:func:`_integer_matrix`), for
@@ -67,7 +71,8 @@ about half its rows, and :func:`kernel_of_delta` eliminates those.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from math import gcd, isqrt, lcm
 from numbers import Integral
 from typing import Iterable, Sequence
@@ -548,6 +553,34 @@ def _saturate(F, pivots, free, n) -> tuple[tuple[int, ...], ...]:
 # the certified pipeline
 
 
+#: the stages a certificate's :class:`KernelStats` times
+STAGES = ("lower", "build", "elimination", "lifting", "reconstruction", "verification", "saturation")
+
+
+@dataclass
+class KernelStats:
+    """What the computation of one certificate did: ``seconds`` per stage
+    (:data:`STAGES`), the row count of each elimination in order (one per
+    prime tried, and one more for a row hint that missed part of the row
+    space), and the p-adic digits lifted at the certifying prime.
+
+    Only :func:`kernel_of_delta` and :func:`kernel_of_alpha` time ``lower``
+    (the lower certificates of a delta kernel's row hint) and ``build``.
+    ``reconstruction`` includes building the Python-int rows of each p-adic
+    approximation, which it reads lazily; ``lifting`` is the digits alone."""
+
+    seconds: dict[str, float] = field(default_factory=lambda: dict.fromkeys(STAGES, 0.0))
+    eliminated: list[int] = field(default_factory=list)
+    lifting_steps: int = 0
+
+    def call(self, stage: str, fn, *args):
+        """fn(*args), its time added to ``stage``."""
+        t0 = time.perf_counter()
+        out = fn(*args)
+        self.seconds[stage] += time.perf_counter() - t0
+        return out
+
+
 @dataclass(frozen=True)
 class KernelCertificate:
     """Exact rank and (optionally) a saturated integer kernel basis.
@@ -565,7 +598,9 @@ class KernelCertificate:
     whose rank falls short of the rank over Q, is not listed.  ``rows`` are
     that elimination's pivot rows, in pivot order, as indices of the whole
     matrix (empty when the rank is 0); ``n_rows`` counts all its rows.
-    ``basis`` rows span ker_Q(M) ∩ Z^{n_cols}."""
+    ``basis`` rows span ker_Q(M) ∩ Z^{n_cols}.  ``stats`` records how the
+    certificate was computed (:class:`KernelStats`); it takes no part in
+    equality, hashing or ``repr``."""
 
     n_rows: int
     n_cols: int
@@ -573,6 +608,7 @@ class KernelCertificate:
     basis: tuple[tuple[int, ...], ...] | None
     primes: tuple[int, ...]
     rows: tuple[int, ...] = ()
+    stats: KernelStats | None = field(default=None, compare=False, repr=False)
 
     @property
     def nullity(self) -> int:
@@ -643,10 +679,10 @@ def certified_kernel(mat, *, need_basis: bool = True) -> KernelCertificate:
     return _certify(_integer_matrix(mat), need_basis)
 
 
-def _certify(M: np.ndarray, need_basis: bool, hint: Sequence[int] | None = None) -> KernelCertificate:
+def _certify(M: np.ndarray, need_basis: bool, hint: Sequence[int] | None = None, stats=None) -> KernelCertificate:
     """The certificate of :func:`certified_kernel` for the integer array M,
     eliminated on S, the rows ``hint`` of M when given and all of M
-    otherwise.
+    otherwise, its stages recorded in ``stats`` (a new one when None).
 
     A hint is expected to span M's row space.  The kernel vectors lifted
     from its elimination are still verified against every row of M, so the
@@ -656,40 +692,45 @@ def _certify(M: np.ndarray, need_basis: bool, hint: Sequence[int] | None = None)
     of the whole of M."""
     if M.ndim != 2:
         raise ValueError("a 2-D integer matrix is required")
+    stats = KernelStats() if stats is None else stats
     m, n = M.shape
     if n == 0:
-        return KernelCertificate(m, 0, 0, () if need_basis else None, ())
+        return KernelCertificate(m, 0, 0, () if need_basis else None, (), stats=stats)
     mmax = int(np.abs(M).max()) if M.size else 0
     if m == 0 or mmax == 0:
         basis = tuple(tuple(1 if j == f else 0 for j in range(n)) for f in range(n))
-        return KernelCertificate(m, n, 0, basis if need_basis else None, ())
+        return KernelCertificate(m, n, 0, basis if need_basis else None, (), stats=stats)
     # the hinted rows S are gathered for each use, not held beside M
     index = np.arange(m) if hint is None else np.asarray(hint, dtype=np.int64)
     if hint is not None and not M[index].any():
-        return _certify(M, need_basis)  # M is nonzero, so the hint misses its row space
+        return _certify(M, need_basis, stats=stats)  # M is nonzero, so the hint misses its row space
     for p in PRIMES21:
-        rank, pivots, rows, inverse = _kernel_mod_p_fast(M if hint is None else M[index], p)
+        stats.eliminated.append(len(index))
+        stats.lifting_steps = 0
+        rank, pivots, rows, inverse = stats.call("elimination", _kernel_mod_p_fast, M if hint is None else M[index], p)
         rows = tuple(index[list(rows)].tolist())
         t = n - rank
         if t == 0:
-            return KernelCertificate(m, n, rank, () if need_basis else None, (p,), rows)
+            return KernelCertificate(m, n, rank, () if need_basis else None, (p,), rows, stats)
         if rank == 0:
             continue  # S is nonzero, so p divides every entry and is unlucky
         free = sorted(set(range(n)).difference(pivots))
         Mr = M[list(rows)]
-        for approx, mod in _padic_solutions(Mr, p, pivots, free, inverse):
-            got = _ratrec_matrix(approx, mod)
+        solutions = _padic_solutions(Mr, p, pivots, free, inverse)
+        while (step := stats.call("lifting", next, solutions, None)) is not None:
+            stats.lifting_steps += 1
+            got = stats.call("reconstruction", _ratrec_matrix, *step)
             if got is None:
                 continue
             F, L = got
             P = _integer_matrix([[-num * (L[f] // den) for f, (num, den) in enumerate(row)] for row in F])
-            if _verify_product(M, mmax, P, L, pivots, free):
-                basis = _saturate(F, pivots, free, n) if need_basis else None
-                return KernelCertificate(m, n, rank, basis, (p,), rows)
-            if not _verify_product(Mr, mmax, P, L, pivots, free):
+            if stats.call("verification", _verify_product, M, mmax, P, L, pivots, free):
+                basis = stats.call("saturation", _saturate, F, pivots, free, n) if need_basis else None
+                return KernelCertificate(m, n, rank, basis, (p,), rows, stats)
+            if not stats.call("verification", _verify_product, Mr, mmax, P, L, pivots, free):
                 continue  # not yet A Y = B: lift further
-            if hint is not None and _verify_product(M[index], mmax, P, L, pivots, free):
-                return _certify(M, need_basis)  # the hinted rows miss part of M's row space
+            if hint is not None and stats.call("verification", _verify_product, M[index], mmax, P, L, pivots, free):
+                return _certify(M, need_basis, stats=stats)  # the hinted rows miss part of M's row space
             break  # the pivot rows miss part of S's row space
         # p is unlucky: S has a larger rank over Q than modulo p
     raise ReconstructionError(f"no certificate after {len(PRIMES21)} primes")
@@ -854,14 +895,20 @@ _CERT_CACHE: dict[tuple[str, int], KernelCertificate] = {}
 def _cached_kernel(name: str, build, k: int, need_basis: bool, hint=None) -> KernelCertificate:
     """The certificate of build(k), cached under (name, k); a rank-only one
     is replaced when a basis is asked for.  With a hint, build(k) is
-    eliminated on the rows hint(k) (see :func:`_certify`)."""
+    eliminated on the rows hint(k) (see :func:`_certify`), computed first.
+    Its stats add the time of hint(k) as ``lower`` and of build(k) as
+    ``build``."""
     key = (name, k)
     got = _CERT_CACHE.get(key)
     if got is None or (need_basis and got.basis is None):
+        stats = KernelStats()
+        rows = None if hint is None else stats.call("lower", hint, k)
+        M = stats.call("build", build, k)
         if hint is None:  # through the public entry point, which perfbench's tracer records
-            got = certified_kernel(build(k), need_basis=need_basis)
+            got = certified_kernel(M, need_basis=need_basis)
+            got.stats.seconds["build"] = stats.seconds["build"]
         else:
-            got = _certify(_integer_matrix(build(k)), need_basis, hint(k))
+            got = _certify(_integer_matrix(M), need_basis, rows, stats)
         if need_basis or key not in _CERT_CACHE:
             _CERT_CACHE[key] = got
     return got

@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, argument gates."""
 
+import importlib.util
 import json
 import os
 import re
@@ -11,7 +12,7 @@ import mpmath as mp
 import pytest
 
 from conftest import tol
-from zetasigma import identities
+from zetasigma import exact_linalg, identities
 from zetasigma.cli import IDENTITIES, main
 from zetasigma.compositions import DualityClass
 from zetasigma.delta import delta_class
@@ -418,6 +419,23 @@ def test_kernel_stages_script():
         assert re.search(rf"^{stage} +\d+\.\d{{3}} s$", proc.stdout, re.M), stage
     assert re.search(r"^basis entry bits +\d+$", proc.stdout, re.M)
     assert re.search(r"^peak RSS +\d+\.\d MB$", proc.stdout, re.M)
+
+
+@pytest.mark.parametrize("argv", [["--weight", "7", "--basis"], ["--weight", "6", "--map", "alpha"]])
+def test_kernel_stages_prints_the_certificate_stats(monkeypatch, capsys, argv):
+    # the script reads cert.stats and wraps nothing in exact_linalg
+    spec = importlib.util.spec_from_file_location("kernel_stages", ROOT / "scripts" / "kernel_stages.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(exact_linalg, "_CERT_CACHE", {})  # a cold certificate
+    before = dict(vars(exact_linalg))
+    assert script.main(argv) == 0
+    assert vars(exact_linalg).keys() == before.keys()
+    assert all(vars(exact_linalg)[name] is value for name, value in before.items())
+    out = capsys.readouterr().out
+    for stage in exact_linalg.STAGES + ("other",):
+        assert re.search(rf"^{stage} +\d+\.\d{{3}} s$", out, re.M), stage
+    assert re.search(r"^rows eliminated \[\d+\] of \d+; lifting steps \d+$", out, re.M)
 
 
 def test_weight8_report_script():

@@ -208,6 +208,7 @@ def test_certified_kernel_unlucky_primes():
     # other row, so p0 is unlucky; p1 shows full rank and needs no lifting
     full = certified_kernel([[p0, 1], [0, p0]])
     assert full.rank == 2 and full.primes == (p1,) and full.basis == ()
+    assert full.stats.eliminated == [2, 2]  # p0 tried, then skipped
     # every entry a multiple of p0: rank 0 mod p0, so p0 is unlucky
     for rows, basis in (([[p0]], ()), ([[p0, 2 * p0]], ((-2, 1),)), ([[p0], [2 * p0]], ())):
         zero = certified_kernel(rows)
@@ -246,42 +247,37 @@ def test_certified_kernel_lifts_large_entries(rows):
     _assert_saturated_kernel(rows)
 
 
-def test_certified_kernel_lifting_steps(monkeypatch):
+def test_certified_kernel_lifting_steps():
     # the kernel of LIFTED has entries near 2^80: one prime of 21 bits
     # reconstructs no such fraction, and lifting needs at least 3 more steps
-    moduli = []
-    solutions = exact_linalg._padic_solutions
-
-    def spy(*args):
-        for big, mod in solutions(*args):
-            moduli.append(mod)
-            yield big, mod
-
-    monkeypatch.setattr(exact_linalg, "_padic_solutions", spy)
     cert = certified_kernel(LIFTED)
     assert cert.primes == (PRIMES21[0],) and cert.nullity == 1
-    assert len(moduli) >= 4 and moduli[-1] == PRIMES21[0] ** len(moduli)
+    assert cert.stats.lifting_steps >= 4
     assert oracle.lattices_equal(cert.basis, [_cleared(v) for v in oracle.fraction_kernel(LIFTED)])
+    # each step multiplies the modulus by p, up to the Hadamard bound
+    M, p = _integer_matrix(LIFTED), PRIMES21[0]
+    _, pivots, rows, inverse = _kernel_mod_p_fast(M, p)
+    free = sorted(set(range(M.shape[1])).difference(pivots))
+    moduli = [mod for _, mod in _padic_solutions(M[list(rows)], p, pivots, free, inverse)]
+    assert len(moduli) >= cert.stats.lifting_steps and moduli[-1] == p ** len(moduli)
 
 
-def test_certified_kernel_one_elimination_per_prime(monkeypatch):
+def test_certified_kernel_one_elimination_per_prime():
     # lifting replays the panels of the elimination, so no second one runs;
     # a row hint that misses part of the row space costs exactly one more
     # elimination, of all rows
-    runs = []
-    eliminate = exact_linalg._kernel_mod_p_fast
-
-    def spy(M, p, *args, **kwargs):
-        runs.append((p, M.shape[0]))
-        return eliminate(M, p, *args, **kwargs)
-
-    monkeypatch.setattr(exact_linalg, "_kernel_mod_p_fast", spy)
-    assert certified_kernel(LIFTED).primes == (PRIMES21[0],)
-    assert runs == [(PRIMES21[0], 2)]
-    runs.clear()
+    assert certified_kernel(LIFTED).stats.eliminated == [2]
     M = _integer_matrix(LIFTED + [[1, 0, 0]])
-    assert _certify(M, True, [0, 1]) == _certify(M, True)
-    assert runs == [(PRIMES21[0], 2), (PRIMES21[0], 3), (PRIMES21[0], 3)]
+    hinted, full = _certify(M, True, [0, 1]), _certify(M, True)
+    assert hinted == full and hinted.primes == full.primes == (PRIMES21[0],)
+    assert hinted.stats.eliminated == [2, 3] and full.stats.eliminated == [3]
+
+
+def test_certificate_stats_take_no_part_in_equality():
+    a = certified_kernel(LIFTED)
+    b = KernelCertificate(a.n_rows, a.n_cols, a.rank, a.basis, a.primes, a.rows)
+    assert a.stats is not None and b.stats is None
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
 
 
 @st.composite
@@ -779,6 +775,11 @@ def test_delta_kernel_13_from_cold_cache(monkeypatch):
     # eliminated on the 968 images of the lower pivot rows, not on all 2048
     assert len(exact_linalg._delta_pivot_rows(13)) == 968
     assert len(cert.rows) == cert.rank and set(cert.rows) <= set(exact_linalg._delta_pivot_rows(13))
+    # no hint fallback at any weight: one elimination, of the rows S_k only
+    # (D_0's empty hint falls back to its one row, and D_1 has no columns)
+    for k in range(14):
+        eliminated = kernel_of_delta(k, need_basis=False).stats.eliminated
+        assert eliminated == {0: [1], 1: []}.get(k, [len(exact_linalg._delta_pivot_rows(k))]), k
 
 
 @pytest.mark.parametrize("k", [-1, MAX_WEIGHT + 1])
