@@ -19,7 +19,11 @@ certificate's ``stats`` (``zetasigma.exact_linalg.KernelStats``):
 Then prints the rows each elimination ran on against the rows of the
 matrix, the lifting steps at the certifying prime, with --basis the largest
 basis entry in bits, and the process's peak resident set size
-(``ru_maxrss``, which Linux reports in KiB).
+(``ru_maxrss``, which Linux reports in KiB).  For delta it then prints each
+stage but ``lower`` summed over the lower certificates, the rank-only
+kernel_of_delta of weights 0..K-1 read back from its cache: their times
+make up the ``lower`` above, so the two lines of a stage add up to its
+time over the whole delta rank table through weight K.
 
 Run with BLAS on one thread (OPENBLAS_NUM_THREADS=1) for figures that
 compare across runs.
@@ -32,7 +36,7 @@ import resource
 import sys
 import time
 
-from zetasigma.exact_linalg import kernel_of_alpha, kernel_of_delta
+from zetasigma.exact_linalg import STAGES, kernel_of_alpha, kernel_of_delta
 
 
 def main(argv=None) -> int:
@@ -61,6 +65,11 @@ def main(argv=None) -> int:
         bits = max((abs(x).bit_length() for v in cert.basis for x in v), default=0)
         print(f"basis entry bits {bits:7d}")
     print(f"{'peak RSS':<15} {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:8.1f} MB")
+    if args.map == "delta" and args.weight:
+        lower = [kernel_of_delta(kp, need_basis=False).stats for kp in range(args.weight)]
+        print(f"summed over the lower certificates, weights 0-{args.weight - 1}:")
+        for name in STAGES[1:]:
+            print(f"  {name:<14}{sum(s.seconds[name] for s in lower):8.3f} s")
     return 0
 
 

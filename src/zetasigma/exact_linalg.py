@@ -13,8 +13,9 @@ every modular result is then promoted to a statement over the rationals:
   rows to; a subset that turns out to miss part of the row space costs
   one more elimination, of all rows), by p-adic lifting (Dixon's method)
   through the pivot block: every digit, the first included, replays the
-  elimination's own panel transforms, which are the block's inverse mod
-  p.  Each p-adic approximation is tried by rational reconstruction in
+  elimination's own records, a forward sweep through its block LU factor L
+  and a backward one through U, which make up the block's inverse mod p.
+  Each p-adic approximation is tried by rational reconstruction in
   integer arithmetic, output-sensitively: an entry that its column's
   running denominator already clears costs one product, and only the
   others run the extended Euclidean algorithm.  Each column is scaled by
@@ -150,131 +151,204 @@ def _ratrec(a: int, m: int) -> tuple[int, int] | None:
 # modular kernels
 
 
-def _mod_into(A: np.ndarray, p: float) -> np.ndarray:
-    """Reduce exact-integer float64 entries into [0, p), in place."""
-    q = np.floor(A * (1.0 / p))
+def _reduce(A: np.ndarray, p: float) -> np.ndarray:
+    """Reduce exact-integer float64 entries below 2^53 in magnitude modulo p
+    (p < 2^21), in place, to residues of magnitude below p: A - p q for q
+    the integer nearest A / p, so at most p/2 plus the rounding of A / p,
+    which is under 1."""
+    q = A * (1.0 / p)
+    np.rint(q, out=q)
     q *= p
     A -= q
-    np.add(A, p, out=A, where=A < 0)
-    np.subtract(A, p, out=A, where=A >= p)
     return A
 
 
-def _kernel_mod_p_fast(M: np.ndarray, p: int, block: int = 32):
-    """Row-reduce M mod p (p < 2^21) by blocked Gauss-Jordan on exact
-    float64 arithmetic.  Returns (rank, pivot columns, pivot rows, inverse).
-    The pivot rows are the rows of M, in pivot order, that the row swaps
-    brought to the top: A = M[rows][:, pivots] is invertible mod p.
+def _unitriangular_inverse(A: np.ndarray, pf: float) -> np.ndarray:
+    """A^-1 mod p for a unit triangular float64 A with entries below p in
+    magnitude: with N = I - A, nilpotent, A^-1 = (I + N)(I + N^2)(I + N^4)...,
+    the factors up to N^(2^s) with 2^(s+1) >= len(A)."""
+    k = len(A)
+    N = _reduce(np.eye(k) - A, pf)
+    X = np.eye(k) + N
+    for _ in range(max(k - 1, 1).bit_length() - 1):
+        N = _reduce(N @ N, pf)
+        if not N.any():
+            break
+        X = _reduce(X + X @ N, pf)
+    return X
 
-    ``inverse`` is A^-1 mod p as the elimination's own panel transforms, for
-    :func:`_solve_mod_p`: a list of (i, G), one per panel with pivots, where
-    the panel took pivot rows i, i+1, ... and G (float32, exact as p < 2^24)
-    holds, for each final pivot row, its coefficients on those rows in the
-    panel's update ``W <- W - Ft @ W[pivot rows]``.  A row operation always
-    reads a pivot row of its panel, so the final pivot rows never read any
-    other row: replayed on them alone, the panels map M[rows] to rows whose
-    pivot block is I, and their product is A^-1.  Each panel's Ft is
-    recorded by original row id, as later swaps move the rows below it, and
-    gathered at the final pivot rows at the end: m × r float32 in all while
-    eliminating, r × r after.
 
-    Every value is an integer below 2^53, so float64 matmuls are exact and
-    run on BLAS; entries stay lazily unreduced between reductions.  Pivot
-    choice is the first nonzero entry at or below the current row, so the
-    result equals that of the plain row reduction ``_kernel_mod_p_int`` in
+def _padded_inverse(U: np.ndarray, J: list[int], pf: float) -> np.ndarray:
+    """The panel-column by pivot matrix E whose rows J hold U_JJ^-1 mod p,
+    for U_JJ = U[:len(J), J], and whose other rows are 0: X @ E is
+    X[:, J] @ U_JJ^-1 without gathering the columns J of X."""
+    E = np.zeros((U.shape[1], len(J)))
+    E[J] = _unitriangular_inverse(U[: len(J), J], pf)
+    return E
+
+
+def _kernel_mod_p_fast(M: np.ndarray, p: int, block: int = 64):
+    """Row-reduce M mod p (p < 2^21) by blocked LU on exact float64
+    arithmetic.  Returns (rank, pivot columns, pivot rows, inverse).  The
+    pivot rows are the rows of M, in pivot order, that the row swaps brought
+    to the top: A = M[rows][:, pivots] is invertible mod p.
+
+    Once a row holds a pivot it is never updated again: each panel of
+    ``block`` columns eliminates on the rows without a pivot only.  It finds
+    its pivots on a candidate block, the first ``block`` of those rows,
+    right-looking; only when no candidate has a nonzero in a column does it
+    read the other rows, left-looking (the column less F @ U, for F the
+    multipliers so far and U the normalized pivot rows), and it stays
+    left-looking for the rest of the panel.  With P the panel as it began
+    and J its pivot columns, the pivot block is P_JJ = L_JJ U_JJ, U_JJ unit
+    upper triangular and L_JJ lower; each triangular inverse takes a few
+    small products (:func:`_unitriangular_inverse`).  The other rows'
+    multipliers on the pivot rows as the panel began are P[:, J] P_JJ^-1,
+    one product, and the trailing update is one product over those rows.
+    The pivot rows become P_JJ^-1 times themselves, the identity on their
+    pivot columns.  The elimination stops once every row holds a pivot.
+
+    ``inverse`` is A^-1 mod p as records (lo, i, G) for :func:`_solve_mod_p`,
+    each the step ``v[lo : lo + len(G)] -= G @ v[i : i + w]`` (w the width of
+    G; G float32, exact as p < 2^24): first a forward record per panel, in
+    order, then a backward record per panel but the first, in reverse order,
+    for the panel that took pivot rows i..i+w.  The forward one, on rows
+    i..r, applies P_JJ^-1 to the panel's rows and takes their multiples off
+    the later pivot rows.  The backward one, on rows 0..i, takes the
+    panel's rows off the earlier ones, as much as those hold on the panel's
+    pivot columns.  The forward multipliers are kept by row id while
+    eliminating, as later swaps move the rows, and gathered at the final
+    pivot rows at the end.
+
+    Every value is an integer below 2^53 in magnitude, so float64 matmuls
+    are exact and run on BLAS; entries stay lazily unreduced between
+    reductions.  Pivot choice is the first nonzero entry at or below the
+    current row, swapped into it, so the rank, the pivots and the pivot rows
+    equal those of the plain row reduction ``_kernel_mod_p_int`` in
     ``tests/test_exact_linalg.py``, which the tests compare it against.
-    Panels are ``block`` columns wide.
     """
     pf = float(p)
     W = np.asarray(M % p, dtype=np.float64)
     m, n = W.shape
     pivots: list[int] = []
     perm = np.arange(m)
-    records: list[tuple[int, np.ndarray]] = []
+    panels = []  # (i, the row ids from i on, the forward G by those ids)
     r = 0
     acc = 0  # panel applications since the trailing block was last reduced
     for c0 in range(0, n, block):
+        if r == m:
+            break  # every row holds a pivot
         c1 = min(c0 + block, n)
-        buf = _mod_into(W[:, c0:c1].copy(), pf)
-        F = np.zeros((m, c1 - c0), dtype=np.float64)
-        pivs: list[int] = []
-        wp = 0
+        P = _reduce(W[r:, c0:c1], pf)  # a view: row swaps of W move it too
+        h = min(block, m - r)
+        C = P[:h].copy()  # the candidate rows, updated right-looking
+        F = None  # the multipliers of the rows from r on, once left-looking
+        U = np.zeros((h, c1 - c0))  # the normalized pivot rows
+        J: list[int] = []  # the pivot columns, from c0
+        inv: list[float] = []  # the inverses of the pivots
         for j in range(c1 - c0):
-            rr = r + wp
-            col = _mod_into(buf[:, j].copy(), pf)
-            nz = np.flatnonzero(col[rr:])  # empty once every row holds a pivot
-            if nz.size == 0:
-                continue
-            i0 = rr + int(nz[0])
-            if i0 != rr:
-                for a in (perm, W, buf, F, col):
-                    a[[rr, i0]] = a[[i0, rr]]
-            piv = int(col[rr])
-            # the update only touches columns j+1:, as the panel columns up
-            # to j are not read again; np.remainder, exact on these
-            # integers, costs less than _mod_into on a short row
-            row = buf[rr, j + 1 :]
-            np.remainder(row, pf, out=row)
-            row *= float(pow(piv, p - 2, p))
-            np.remainder(row, pf, out=row)
-            col[rr] = 0.0
-            F[:, wp] = col
-            buf[:, j + 1 :] -= col[:, None] * row
-            pivs.append(piv)
+            wp = len(J)
+            if F is None:
+                seg = np.remainder(C[wp:, j], pf, out=C[wp:, j])
+                nz = seg.nonzero()[0]
+                if nz.size == 0:  # no candidate holds this column: read all rows
+                    F = np.zeros((m - r, h))
+                    F[wp:, :wp] = _reduce(P[wp:] @ _padded_inverse(U, J, pf), pf)
+            if F is not None:
+                col = _reduce(P[wp:, j] - F[wp:, :wp] @ U[:wp, j], pf)
+                nz = col.nonzero()[0]
+                if nz.size == 0:
+                    continue
+            i0 = wp + int(nz[0])
+            if i0 != wp:
+                swap = [r + wp, r + i0]
+                for a in (perm, W):
+                    a[swap] = a[swap[::-1]]
+                if F is None:
+                    C[[wp, i0]] = C[[i0, wp]]
+                else:
+                    F[[wp, i0]] = F[[i0, wp]]
+                    col[[0, i0 - wp]] = col[[i0 - wp, 0]]
+            if F is None:
+                piv = int(C[wp, j])
+                row = C[wp, j:]
+            else:
+                piv = int(col[0])
+                row = P[wp, j:] - F[wp, :wp] @ U[:wp, j:]
+                F[wp + 1 :, wp] = col[1:]
+            inv.append(float(pow(piv, p - 2, p)))
+            U[wp, j:] = np.remainder(np.remainder(row, pf) * inv[-1], pf)
+            if F is None:
+                C[wp + 1 :, j + 1 :] -= C[wp + 1 :, j, None] * U[wp, j + 1 :]
+            J.append(j)
             pivots.append(c0 + j)
-            wp += 1
-        if wp:
-            pr = np.arange(r, r + wp)
-            G = F[pr, :wp].astype(np.int64)
-            # lower-triangular lam: row i is (e_i - G[i, :i] @ lam[:i]) / pivs[i]
-            lam = np.zeros((wp, wp), dtype=np.int64)
-            for i in range(wp):
-                row = -(G[i, :i] @ lam[:i]) % p
-                row[i] = 1
-                lam[i] = row * pow(pivs[i], p - 2, p) % p
-            lam2 = (lam - np.triu(G, 1) @ lam) % p
-            Ft = _mod_into(F[:, :wp] @ lam.astype(np.float64), pf)
-            Ft[pr] = ((np.eye(wp, dtype=np.int64) - lam2) % p).astype(np.float64)
-            rec = np.empty((m, wp), dtype=np.float32)
-            rec[perm] = Ft
-            records.append((r, rec))
-            chunk = max(1, (1 << 24) // max(m, 1))
-            if c1 < n:
-                Pold = _mod_into(W[pr, c1:], pf)
-                for a in range(0, n - c1, chunk):
-                    W[:, c1 + a : c1 + a + chunk] -= Ft @ Pold[:, a : a + chunk]
-            r += wp
-            acc += 1
-            # between reductions at most 1024 panel columns of products,
-            # each below p^2 < 2^42, accumulate: the sums stay below 2^52
-            if acc >= 1024 // block and c1 < n:
-                _mod_into(W[:, c1:], pf)
-                acc = 0
+            if r + wp + 1 == m:
+                break  # every row holds a pivot
+        wp = len(J)
+        if not wp:
+            continue
+        # X @ E is X[:, J] @ U_JJ^-1 for any X on the panel's columns; the
+        # pivot rows' multipliers L_JJ = P[:wp] @ E are lower triangular with
+        # the pivots on the diagonal, so L_JJ diag(inv) is unit triangular
+        E = _padded_inverse(U, J, pf)
+        Lu = _reduce(_reduce(P[:wp] @ E, pf) * inv, pf)
+        T = _reduce(np.array(inv)[:, None] * _unitriangular_inverse(Lu, pf), pf)  # L_JJ^-1
+        # X @ K is X[:, J] @ P_JJ^-1, for P_JJ = L_JJ U_JJ the pivot block
+        K = _reduce(E @ T, pf)
+        G = np.empty((m - r, wp), dtype=np.float32)
+        G[:wp] = _reduce(np.eye(wp) - K[J], pf)
+        G[wp:] = FK = _reduce(P[wp:] @ K, pf)
+        panels.append((r, perm[r:].copy(), G))
+        # the pivot rows become P_JJ^-1 times themselves, the identity on
+        # their pivot columns, and never change again; the other rows lose
+        # FK times the pivot rows as the panel began
+        if c1 < n:
+            X = _reduce(W[r : r + wp, c1:], pf)
+            chunk = max(1, (1 << 24) // max(m - r, 1))
+            for a in range(0, n - c1, chunk):
+                W[r + wp :, c1 + a : c1 + a + chunk] -= FK @ X[:, a : a + chunk]
+            W[r : r + wp, c1:] = _reduce(K[J] @ X, pf)
+        r += wp
+        acc += 1
+        # between reductions at most 1024 panel columns of products, each
+        # below p^2 < 2^42, accumulate: the sums stay below 2^52
+        if acc >= 1024 // block and c1 < n:
+            _reduce(W[r:, c1:], pf)
+            acc = 0
     rows = perm[:r]
-    inverse = [(i, rec[rows]) for i, rec in records]
-    return r, tuple(pivots), tuple(rows.tolist()), inverse
+    where = np.empty(m, dtype=np.int64)
+    forward = []
+    for i, ids, G in panels:
+        where[ids] = np.arange(len(ids))
+        forward.append((i, i, G[where[rows[i:]]]))
+    # the earlier pivot rows' entries on each panel's pivot columns
+    backward = [(0, i, W[:i, pivots[i : i + G.shape[1]]].astype(np.float32)) for i, _, G in reversed(panels) if i]
+    return r, tuple(pivots), tuple(rows.tolist()), forward + backward
 
 
 def _solve_mod_p(inverse, R: np.ndarray, p: int) -> np.ndarray:
     """A^-1 R mod p as int64 in [0, p), for the ``inverse`` of A that
     :func:`_kernel_mod_p_fast` returns and an integer array R (int64 or
-    Python ints) of r rows with entries below 2^53 in magnitude: the panels
-    replayed in order,
-    ``v <- v - G @ (v[i : i + width] mod p)``.
+    Python ints) of r rows with entries below 2^53 in magnitude: the records
+    replayed in order, the forward sweep then the backward one,
+    ``v[lo : lo + len(G)] -= G @ (v[i : i + w] mod p)``, the rows read
+    reduced in place.
 
     Between reductions of v at most 1024 columns of products, each below
     p^2 < 2^42, accumulate, so every partial sum stays below 2^53."""
     pf = float(p)
-    v = _mod_into(R.astype(np.float64), pf)
+    v = _reduce(R.astype(np.float64), pf)
     acc = 0
-    for i, G in inverse:
+    for lo, i, G in inverse:
         w = G.shape[1]
         if acc + w > 1024:
-            _mod_into(v, pf)
+            _reduce(v, pf)
             acc = 0
-        v -= G @ _mod_into(v[i : i + w].copy(), pf)
+        v[lo : lo + len(G)] -= G @ _reduce(v[i : i + w], pf)
         acc += w
-    return _mod_into(v, pf).astype(np.int64)
+    _reduce(v, pf)
+    v += (v < 0) * pf
+    return v.astype(np.int64)
 
 
 _LIMB = 20
@@ -921,7 +995,10 @@ def _delta_pivot_rows(k: int) -> list[int]:
 
     Π_k is a bijection onto the rows of D_k, and row Π_k(m') of D_k is row
     m' of D_kp times the weight-kp block of A_k.  The pivot rows of D_kp
-    span its row space, so S_k spans that of D_k."""
+    span its row space, so S_k spans that of D_k.  D_0 = (1) has the one row
+    [0], and D_1 has no rows."""
+    if k < 2:
+        return [0] if k == 0 else []
     rows = []
     for kp in range(k):
         pivots = kernel_of_delta(kp, need_basis=False).rows

@@ -436,6 +436,13 @@ def test_kernel_stages_prints_the_certificate_stats(monkeypatch, capsys, argv):
     for stage in exact_linalg.STAGES + ("other",):
         assert re.search(rf"^{stage} +\d+\.\d{{3}} s$", out, re.M), stage
     assert re.search(r"^rows eliminated \[\d+\] of \d+; lifting steps \d+$", out, re.M)
+    # delta also sums each stage but lower over the lower certificates
+    summed = re.findall(r"^  (\w+) +\d+\.\d{3} s$", out, re.M)
+    if "alpha" in argv:
+        assert summed == [] and "lower certificates" not in out
+    else:
+        assert "summed over the lower certificates, weights 0-6:" in out
+        assert summed == list(exact_linalg.STAGES[1:])
 
 
 def test_weight8_report_script():

@@ -2,7 +2,6 @@
 against the Fraction reference in ``linalg_oracle``, plus the frozen rank
 tables for alpha and delta."""
 
-import inspect
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -464,10 +463,13 @@ def sparse_matrices_with_repeats(draw, n_cols):
 
 def _kernel_mod_p_int(M: np.ndarray, p: int):
     """Reference row reduction mod p in plain int64, valid for p < 2^31:
-    the oracle for the blocked float64 eliminator."""
+    the oracle for the blocked float64 eliminator.  Returns the rank, the
+    pivot columns, the pivot rows (the rows of M that the swaps brought to
+    the top, in pivot order) and the reduced block on the free columns."""
     R = (M % p).astype(np.int64)
     m, n = R.shape
     pivots: list[int] = []
+    order = np.arange(m)
     r = 0
     for c in range(n):
         if r == m:
@@ -478,6 +480,7 @@ def _kernel_mod_p_int(M: np.ndarray, p: int):
         i0 = r + int(nz[0])
         if i0 != r:
             R[[r, i0]] = R[[i0, r]]
+            order[[r, i0]] = order[[i0, r]]
         piv = int(R[r, c])
         if piv != 1:
             R[r, c:] = R[r, c:] * pow(piv, p - 2, p) % p
@@ -496,7 +499,7 @@ def _kernel_mod_p_int(M: np.ndarray, p: int):
         fcol = R[:i, pivots[i]]
         if np.any(fcol):
             X[:i, :] = (X[:i, :] - fcol[:, None] * X[i, :]) % p
-    return r, tuple(pivots), X
+    return r, tuple(pivots), tuple(order[:r].tolist()), X
 
 
 def _panel_edges(block, suffix=""):
@@ -508,22 +511,20 @@ def _panel_edges(block, suffix=""):
     ]
 
 
-# the eliminator's default panel width
-BLOCK = inspect.signature(_kernel_mod_p_fast).parameters["block"].default
+# panels of 32 columns, and of 64, the eliminator's default
+PANEL_EDGES = _panel_edges(32) + _panel_edges(64, "_block64")
 
 
-@pytest.mark.parametrize("block,n_cols", _panel_edges(BLOCK) + _panel_edges(64, "_block64"))
+@pytest.mark.parametrize("block,n_cols", PANEL_EDGES)
 @given(data=st.data())
 def test_fast_elimination_matches_reference(block, n_cols, data):
     # the blocked float64 eliminator promises the reference's exact output
     M = data.draw(sparse_matrices_with_repeats(n_cols))
     p = data.draw(st.sampled_from([3, 101, PRIMES21[0]]))
     r, pivots, rows, inverse = _kernel_mod_p_fast(M, p, block=block)
-    r_ref, pivots_ref, X_ref = _kernel_mod_p_int(M, p)
-    assert (r, pivots) == (r_ref, pivots_ref)
-    # the pivot rows carry the rank: their pivot block is invertible mod p
-    assert len(set(rows)) == r
-    assert _kernel_mod_p_int(M[list(rows)][:, list(pivots)], p)[0] == r
+    r_ref, pivots_ref, rows_ref, X_ref = _kernel_mod_p_int(M, p)
+    # the same pivot rule: the same pivots, on the same rows in the same order
+    assert (r, pivots, rows) == (r_ref, pivots_ref, rows_ref)
     # the reduced block on the free columns is one replay of the panels
     Mr = M[list(rows)]
     free = sorted(set(range(M.shape[1])).difference(pivots))
@@ -535,7 +536,7 @@ def test_fast_elimination_matches_reference(block, n_cols, data):
         assert mod == p and list(approx) == (X_ref % p).tolist()
 
 
-@pytest.mark.parametrize("block,n_cols", _panel_edges(BLOCK) + _panel_edges(64, "_block64"))
+@pytest.mark.parametrize("block,n_cols", PANEL_EDGES)
 @given(data=st.data())
 def test_replayed_inverse_solves_pivot_block(block, n_cols, data):
     # the elimination's recorded panels, replayed, are A^-1 mod p for its
@@ -565,6 +566,76 @@ def test_replayed_inverse_past_a_reduction():
     y = _solve_mod_p(inverse, R, p)
     A = M[list(rows)][:, list(pivots)]
     assert (_mul_exact(A, y) % p == R).all()
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 31, 32, 33, 64])
+def test_unitriangular_inverse(k):
+    # the doubling product inverts unit triangular matrices of either kind
+    p = PRIMES21[0]
+    rng = np.random.default_rng(k)
+    A = np.triu(rng.integers(-p + 1, p, size=(k, k)), 1) + np.eye(k, dtype=np.int64)
+    for X in (A, A.T):
+        Y = exact_linalg._unitriangular_inverse(X.astype(np.float64), float(p)).astype(np.int64)
+        assert (_mul_exact(X, Y) % p == np.eye(k, dtype=np.int64)).all()
+
+
+def _panel_path_matrices():
+    """Matrices of 40-120 rows for 8-column panels, each built to take one
+    path of the eliminator (see its docstring)."""
+    rng = np.random.default_rng(27)
+    sparse = lambda m, n: rng.integers(-2, 3, size=(m, n)) * (rng.random((m, n)) < 0.08)
+    # nonzeros below the candidate rows: alpha's 2-3 per column, and a zero
+    # top block, so that pivots come from rows the panel reads left-looking
+    zero_top = rng.integers(-3, 4, size=(70, 40))
+    zero_top[:20, :24] = 0
+    # every row holds a pivot at column 43, in the middle of the sixth panel
+    wide = rng.integers(-3, 4, size=(44, 100))
+    # the first panel's eight candidates all hold pivots; then a zero column
+    zero_after_full = rng.integers(-3, 4, size=(50, 30))
+    zero_after_full[:, [8, 9, 17]] = 0
+    return {
+        "alpha9": alpha_matrix(9),
+        "sparse_tall": sparse(120, 24),
+        "zero_top": zero_top,
+        "tall": rng.integers(-2, 3, size=(120, 12)),
+        "wide": wide,
+        "sparse_wide": sparse(40, 90),
+        "zero_after_full": zero_after_full,
+    }
+
+
+PANEL_PATH_MATRICES = _panel_path_matrices()
+
+
+@pytest.mark.parametrize("p", [3, 101, PRIMES21[0]])
+@pytest.mark.parametrize("name", PANEL_PATH_MATRICES)
+def test_fast_elimination_panel_paths(name, p):
+    # matrices of several 8-row candidate blocks: pivots that need rows
+    # below the candidates, tall and wide shapes, the stop once every row
+    # holds a pivot and a zero column after a full candidate block
+    M = PANEL_PATH_MATRICES[name]
+    assert 40 <= M.shape[0] <= 120
+    r, pivots, rows, inverse = _kernel_mod_p_fast(M, p, block=8)
+    assert (r, pivots, rows) == _kernel_mod_p_int(M, p)[:3]
+    R = np.random.default_rng(r).integers(0, p, size=(r, 3))
+    y = _solve_mod_p(inverse, R, p)
+    assert (_mul_exact(M[list(rows)][:, list(pivots)], y) % p == R).all()
+
+
+def test_panel_path_matrices_reach_their_paths():
+    # the cases above hold what they are named for, at the largest prime
+    p, got = PRIMES21[0], {}
+    for name, M in PANEL_PATH_MATRICES.items():
+        got[name] = _kernel_mod_p_int(M, p)[:3]
+    # the first panel's candidates are rows 0-7, and only a swap with a row
+    # below them brings a later row into its pivot rows
+    for name in ("alpha9", "sparse_tall", "zero_top", "sparse_wide"):
+        r, pivots, rows = got[name]
+        assert max(row for row, c in zip(rows, pivots) if c < 8) >= 8, name
+    assert got["wide"][0] == 44 and got["wide"][1][-1] == 43
+    assert got["tall"][0] == 12
+    r, pivots, _ = got["zero_after_full"]
+    assert pivots[:8] == tuple(range(8)) and 8 not in pivots
 
 
 # ------------------------------------------------------- the fraction oracle
@@ -776,10 +847,24 @@ def test_delta_kernel_13_from_cold_cache(monkeypatch):
     assert len(exact_linalg._delta_pivot_rows(13)) == 968
     assert len(cert.rows) == cert.rank and set(cert.rows) <= set(exact_linalg._delta_pivot_rows(13))
     # no hint fallback at any weight: one elimination, of the rows S_k only
-    # (D_0's empty hint falls back to its one row, and D_1 has no columns)
+    # (S_0 is D_0's one row, and D_1 has no columns, so nothing to eliminate)
     for k in range(14):
         eliminated = kernel_of_delta(k, need_basis=False).stats.eliminated
         assert eliminated == {0: [1], 1: []}.get(k, [len(exact_linalg._delta_pivot_rows(k))]), k
+
+
+def test_delta_pivot_rows_at_the_lowest_weights(monkeypatch):
+    # D_0 = (1) is eliminated on its one row, where an empty hint would miss
+    # the row space; D_1 is 0 x 0, so its hint is empty
+    monkeypatch.setattr(exact_linalg, "_CERT_CACHE", {})
+    assert exact_linalg._delta_pivot_rows(0) == [0]
+    assert exact_linalg._delta_pivot_rows(1) == []
+    assert delta_matrix(1).shape == (0, 0)
+    assert kernel_of_delta(0, need_basis=False).rows == (0,)
+    for k in range(2, 8):
+        S = exact_linalg._delta_pivot_rows(k)
+        assert len(S) == sum(kernel_of_delta(kp).rank for kp in range(k))
+        assert set(S) <= set(range(delta_matrix(k).shape[0])), k
 
 
 @pytest.mark.parametrize("k", [-1, MAX_WEIGHT + 1])
