@@ -11,7 +11,8 @@ certificate's ``stats`` (``zetasigma.exact_linalg.KernelStats``):
                   A^-1 mod p
   lifting         every p-adic digit, the first included
   reconstruction  rational reconstruction, with the Python-int rows of each
-                  p-adic approximation it reads
+                  p-adic approximation it reads and the column-scaled
+                  integer numerators P of the one that succeeds
   verification    the exact checks, against all rows of the matrix
   saturation      the saturated basis (with --basis only)
   other           the rest of kernel_of_delta / kernel_of_alpha

@@ -194,15 +194,17 @@ def _kernel_mod_p_fast(M: np.ndarray, p: int, block: int = 64):
     to the top: A = M[rows][:, pivots] is invertible mod p.
 
     Once a row holds a pivot it is never updated again: each panel of
-    ``block`` columns eliminates on the rows without a pivot only.  It finds
-    its pivots on a candidate block, the first ``block`` of those rows,
-    right-looking; only when no candidate has a nonzero in a column does it
-    read the other rows, left-looking (the column less F @ U, for F the
-    multipliers so far and U the normalized pivot rows), and it stays
-    left-looking for the rest of the panel.  With P the panel as it began
-    and J its pivot columns, the pivot block is P_JJ = L_JJ U_JJ, U_JJ unit
-    upper triangular and L_JJ lower; each triangular inverse takes a few
-    small products (:func:`_unitriangular_inverse`).  The other rows'
+    ``block`` columns eliminates on the rows without a pivot only.  It reads
+    each column left-looking, as the column less F @ U for F the
+    multipliers so far and U the normalized pivot rows, on the rows read so
+    far: at first the candidates, the first ``block`` rows without a pivot;
+    from the first column that no candidate holds on, every row without a
+    pivot, the other rows' multipliers then taken in one product.  No row is
+    updated within the panel: U and F are all it keeps.  With P the panel
+    as it began and J its pivot columns, the pivot block is
+    P_JJ = L_JJ U_JJ, U_JJ unit upper triangular and L_JJ lower; each
+    triangular inverse takes a few small products
+    (:func:`_unitriangular_inverse`).  The other rows'
     multipliers on the pivot rows as the panel began are P[:, J] P_JJ^-1,
     one product, and the trailing update is one product over those rows.
     The pivot rows become P_JJ^-1 times themselves, the identity on their
@@ -241,45 +243,34 @@ def _kernel_mod_p_fast(M: np.ndarray, p: int, block: int = 64):
         c1 = min(c0 + block, n)
         P = _reduce(W[r:, c0:c1], pf)  # a view: row swaps of W move it too
         h = min(block, m - r)
-        C = P[:h].copy()  # the candidate rows, updated right-looking
-        F = None  # the multipliers of the rows from r on, once left-looking
+        F = np.zeros((m - r, h))  # the multipliers of the rows read, on the pivot rows
+        hi = h  # the rows read: the candidates, then every row without a pivot
         U = np.zeros((h, c1 - c0))  # the normalized pivot rows
         J: list[int] = []  # the pivot columns, from c0
         inv: list[float] = []  # the inverses of the pivots
         for j in range(c1 - c0):
             wp = len(J)
-            if F is None:
-                seg = np.remainder(C[wp:, j], pf, out=C[wp:, j])
-                nz = seg.nonzero()[0]
-                if nz.size == 0:  # no candidate holds this column: read all rows
-                    F = np.zeros((m - r, h))
-                    F[wp:, :wp] = _reduce(P[wp:] @ _padded_inverse(U, J, pf), pf)
-            if F is not None:
-                col = _reduce(P[wp:, j] - F[wp:, :wp] @ U[:wp, j], pf)
+            col = _reduce(P[wp:hi, j] - F[wp:hi, :wp] @ U[:wp, j], pf)
+            nz = col.nonzero()[0]
+            if nz.size == 0 and hi < m - r:  # no candidate holds this column: read all rows
+                F[hi:, :wp] = _reduce(P[hi:] @ _padded_inverse(U, J, pf), pf)
+                hi = m - r
+                col = _reduce(P[wp:hi, j] - F[wp:hi, :wp] @ U[:wp, j], pf)
                 nz = col.nonzero()[0]
-                if nz.size == 0:
-                    continue
+            if nz.size == 0:
+                continue
             i0 = wp + int(nz[0])
             if i0 != wp:
                 swap = [r + wp, r + i0]
                 for a in (perm, W):
                     a[swap] = a[swap[::-1]]
-                if F is None:
-                    C[[wp, i0]] = C[[i0, wp]]
-                else:
-                    F[[wp, i0]] = F[[i0, wp]]
-                    col[[0, i0 - wp]] = col[[i0 - wp, 0]]
-            if F is None:
-                piv = int(C[wp, j])
-                row = C[wp, j:]
-            else:
-                piv = int(col[0])
-                row = P[wp, j:] - F[wp, :wp] @ U[:wp, j:]
-                F[wp + 1 :, wp] = col[1:]
+                F[[wp, i0]] = F[[i0, wp]]
+                col[[0, i0 - wp]] = col[[i0 - wp, 0]]
+            piv = int(col[0])
+            row = P[wp, j:] - F[wp, :wp] @ U[:wp, j:]
+            F[wp + 1 : hi, wp] = col[1:]
             inv.append(float(pow(piv, p - 2, p)))
             U[wp, j:] = np.remainder(np.remainder(row, pf) * inv[-1], pf)
-            if F is None:
-                C[wp + 1 :, j + 1 :] -= C[wp + 1 :, j, None] * U[wp, j + 1 :]
             J.append(j)
             pivots.append(c0 + j)
             if r + wp + 1 == m:
@@ -351,6 +342,12 @@ def _solve_mod_p(inverse, R: np.ndarray, p: int) -> np.ndarray:
     return v.astype(np.int64)
 
 
+def _magnitude(X: np.ndarray) -> int:
+    """The largest |entry| of an int64 or Python-int array, from its max and
+    min (no copy through np.abs), or 0 when it is empty."""
+    return max(int(X.max()), -int(X.min())) if X.size else 0
+
+
 _LIMB = 20
 
 
@@ -358,7 +355,7 @@ def _limbs(X: np.ndarray):
     """The largest |X| entry, and X = sum_s X_s 2^s as triples (s, X_s,
     bound) with X_s in float64 and |X_s| <= bound: X itself when its entries
     are below 2^21, else its 20-bit limbs, the top one signed."""
-    xmax = max(int(X.max()), -int(X.min())) if X.size else 0
+    xmax = _magnitude(X)
     if xmax < 1 << 21:
         return xmax, [(0, X.astype(np.float64), xmax)]
     top = _LIMB * ((xmax.bit_length() - 1) // _LIMB)
@@ -439,7 +436,7 @@ def _padic_solutions(Mr: np.ndarray, p: int, pivots, free, inverse):
     # as each digit is below p, the residual stays below |Mr| (r + 1), and
     # below |Mr| p (r + 1) within a step: under 2^63 it and the products
     # A y are int64
-    res = B if int(np.abs(Mr).max()) * p * (len(pivots) + 1) < 1 << 63 else B.astype(object)
+    res = B if _magnitude(Mr) * p * (len(pivots) + 1) < 1 << 63 else B.astype(object)
     words: tuple = ()
     s, mod = 0, 1
     while True:
@@ -456,53 +453,53 @@ def _padic_solutions(Mr: np.ndarray, p: int, pivots, free, inverse):
         res = (res - _mul_exact(A, y)) // p
 
 
-def _ratrec_matrix(
-    rows: Iterable[Sequence[int]], mod: int
-) -> tuple[list[list[tuple[int, int]]], list[int]] | None:
+def _ratrec_matrix(rows: Iterable[Sequence[int]], mod: int) -> tuple[np.ndarray, list[int]] | None:
     """Rational reconstruction of every entry of the integer rows modulo
-    mod: the pair (F, L) of the (num, den) pairs _ratrec gives each entry,
-    and the lcm of the denominators of each column; or None when some entry
-    has none yet.
+    mod, column-scaled: (P, L), for L[f] the lcm of the denominators in
+    column f and P the integer array (:func:`_integer_matrix`) of
+    P[i, f] = -num * (L[f] / den), num/den the fraction _ratrec gives entry
+    (i, f); or None when some entry has none yet.
 
     The result is the entrywise one, but entries of a column mostly share
-    their denominator, so most cost one product and a gcd instead of a
-    Euclid (output-sensitive reconstruction).  For each column the walk
-    keeps d, the lcm of the denominators found so far while it is at most
+    their denominator, so most cost one product instead of a Euclid
+    (output-sensitive reconstruction).  For each column the walk keeps d,
+    the lcm of the denominators found so far while it is at most
     N = sqrt(mod/2), and tries y = x * d in symmetric residues first.  If
     |y| <= N, then y/d in lowest terms is a pair that _ratrec accepts: d is
     prime to mod, as every denominator _ratrec returns is (a common factor
     would divide its numerator too).  And when such a pair exists, _ratrec
     returns it (Wang's theorem), as the only one: two pairs agree when
     2 N^2 < mod, which holds for odd mod.  Only when |y| > N does the entry
-    run _ratrec and update d.  The walk reads the rows in order and stops
-    at the first failure, so an attempt with too small a modulus usually
-    reads only its first row."""
+    run _ratrec and update d.  The walk keeps each entry as the fraction
+    y/d, unreduced, and every d divides the final L[f], so P is built at
+    the end with no gcd.  The walk reads the rows in order and stops at the
+    first failure, so an attempt with too small a modulus usually reads
+    only its first row."""
     bound = isqrt(mod // 2)
     half = mod >> 1
     d = L = None
-    F = []
+    Y = []
     for row in rows:
         if d is None:
             d, L = [1] * len(row), [1] * len(row)
-        frow = []
+        yrow = []
         for f, x in enumerate(row):
             df = d[f]
             y = x * df % mod
             if y > half:
                 y -= mod
             if -bound <= y <= bound:
-                g = gcd(y, df)
-                frow.append((y // g, df // g))
+                yrow.append((y, df))
                 continue
             got = _ratrec(x, mod)
             if got is None:
                 return None
-            frow.append(got)
+            yrow.append(got)
             L[f] = lcm(L[f], got[1])
             if L[f] <= bound:
                 d[f] = L[f]
-        F.append(frow)
-    return F, L
+        Y.append(yrow)
+    return _integer_matrix([[-y * (L[f] // df) for f, (y, df) in enumerate(row)] for row in Y]), L
 
 
 # ---------------------------------------------------------------------------
@@ -588,38 +585,41 @@ def _coefficient_hermite(Gm: np.ndarray, dens: Sequence[int], D: int) -> np.ndar
     return H
 
 
-def _saturate(F, pivots, free, n) -> tuple[tuple[int, ...], ...]:
+def _saturate(P, L, pivots, free, n) -> tuple[tuple[int, ...], ...]:
     """Saturated basis of the lattice Q-spanned by the reduced kernel
-    vectors (1 at own free column, -num/den at pivot column i, where
-    F[i][f] = (num, den)) inside Z^n.
+    vectors (1 at own free column f, P[i, f] / L[f] at pivot column i, for
+    the column-scaled numerators P and column lcms L of
+    :func:`_ratrec_matrix`) inside Z^n.
 
-    With G[i] / d_i the pivot row i of the reduced kernel vectors and D the
-    lcm of the d_i, the lattice is the set of x with x[free] = lambda and
-    x[pivots] = G lambda / d, for lambda in the coefficient lattice of
-    integer vectors with G[i] . lambda = 0 mod d_i for every i, which
-    contains D * Z^t.  The basis rows come from the rows lambda of its
-    Hermite basis modulo D (:func:`_coefficient_hermite`): their free
-    coordinates lie in [0, D], and their pivot coordinates are
+    With G[i] / d_i the pivot row i of the reduced kernel vectors (d_i the
+    lcm over f of L[f] / gcd(P[i, f], L[f]), and G[i, f] = P[i, f] d_i / L[f]
+    exactly) and D the lcm of the d_i, the lattice is the set of x with
+    x[free] = lambda and x[pivots] = G lambda / d, for lambda in the
+    coefficient lattice of integer vectors with G[i] . lambda = 0 mod d_i
+    for every i, which contains D * Z^t.  The basis rows come from the rows
+    lambda of its Hermite basis modulo D (:func:`_coefficient_hermite`):
+    their free coordinates lie in [0, D], and their pivot coordinates are
     G lambda / d, one exact product G @ H.T (:func:`_mul_exact`) divided
     exactly by d."""
     t = len(free)
     if t == 0:
         return ()
     # pivot row i of the reduced kernel vectors is G[i] / row_den[i]
-    row_den = [lcm(*[den for _, den in row]) for row in F]
-    G = _integer_matrix([[-num * (d // den) for num, den in row] for row, d in zip(F, row_den)])
+    rows = P.tolist()
+    row_den = [lcm(*[Lf // gcd(x, Lf) for x, Lf in zip(row, L)]) for row in rows]
+    G = _integer_matrix([[x * d // Lf for x, Lf in zip(row, L)] for row, d in zip(rows, row_den)])
     den = _integer_matrix(row_den)[:, None]
     D = lcm(*row_den)
     live = den[:, 0] > 1
     H = _coefficient_hermite(G[live] % den[live], den[live, 0].tolist(), D)
     if not all(H.diagonal()):
         raise ReconstructionError("coefficient lattice lost full rank")
-    P = _mul_exact(G, H.T)
-    if np.any(P % den):
+    GH = _mul_exact(G, H.T)
+    if np.any(GH % den):
         raise ReconstructionError("saturation produced a non-integer entry")
-    V = np.zeros((n, t), dtype=P.dtype)
+    V = np.zeros((n, t), dtype=GH.dtype)
     V[list(free)] = H.T
-    V[list(pivots)] = P // den
+    V[list(pivots)] = GH // den
     return tuple(map(tuple, V.T.tolist()))
 
 
@@ -641,7 +641,9 @@ class KernelStats:
     Only :func:`kernel_of_delta` and :func:`kernel_of_alpha` time ``lower``
     (the lower certificates of a delta kernel's row hint) and ``build``.
     ``reconstruction`` includes building the Python-int rows of each p-adic
-    approximation, which it reads lazily; ``lifting`` is the digits alone."""
+    approximation, which it reads lazily, and the column-scaled integer
+    numerators P of the one that succeeds; ``lifting`` is the digits
+    alone."""
 
     seconds: dict[str, float] = field(default_factory=lambda: dict.fromkeys(STAGES, 0.0))
     eliminated: list[int] = field(default_factory=list)
@@ -698,7 +700,7 @@ def _verify_product(M, mmax, P, L, pivots, free):
     meets them in one product."""
     m, n = M.shape
     t = len(free)
-    vmax = max([1, int(np.abs(P).max())] + list(L))
+    vmax = max([1, _magnitude(P)] + list(L))
     bound = 2 * n * max(mmax, 1) * vmax
     qs, prod = [], 1
     for q in PRIMES20:
@@ -735,7 +737,7 @@ def _integer_matrix(mat) -> np.ndarray:
         M = np.array(mat, dtype=object)
         if not all(issubclass(t, Integral) for t in set(map(type, M.flat))):
             raise ValueError("certified_kernel needs integer entries")
-    if M.size and max(int(M.max()), -int(M.min())) >= 1 << 63:
+    if _magnitude(M) >= 1 << 63:
         return np.frompyfunc(int, 1, 1)(M)
     return M.astype(np.int64, copy=False)
 
@@ -770,7 +772,7 @@ def _certify(M: np.ndarray, need_basis: bool, hint: Sequence[int] | None = None,
     m, n = M.shape
     if n == 0:
         return KernelCertificate(m, 0, 0, () if need_basis else None, (), stats=stats)
-    mmax = int(np.abs(M).max()) if M.size else 0
+    mmax = _magnitude(M)
     if m == 0 or mmax == 0:
         basis = tuple(tuple(1 if j == f else 0 for j in range(n)) for f in range(n))
         return KernelCertificate(m, n, 0, basis if need_basis else None, (), stats=stats)
@@ -796,10 +798,9 @@ def _certify(M: np.ndarray, need_basis: bool, hint: Sequence[int] | None = None,
             got = stats.call("reconstruction", _ratrec_matrix, *step)
             if got is None:
                 continue
-            F, L = got
-            P = _integer_matrix([[-num * (L[f] // den) for f, (num, den) in enumerate(row)] for row in F])
+            P, L = got
             if stats.call("verification", _verify_product, M, mmax, P, L, pivots, free):
-                basis = stats.call("saturation", _saturate, F, pivots, free, n) if need_basis else None
+                basis = stats.call("saturation", _saturate, P, L, pivots, free, n) if need_basis else None
                 return KernelCertificate(m, n, rank, basis, (p,), rows, stats)
             if not stats.call("verification", _verify_product, Mr, mmax, P, L, pivots, free):
                 continue  # not yet A Y = B: lift further
@@ -936,8 +937,10 @@ def delta_matrix(k: int) -> np.ndarray:
     defining recursion mu(delta([a])) = delta(alpha([a])) in matrix form:
     A_w is ``alpha_matrix(w)``, and Π_w, the inverse of mu, sends row m' of
     weight w' >= 2 to row (2m' + 1) · 2^(w-w'-1) and the empty composition
-    to row 0: onto the rows of weight w whose last entry is w - w'.  Each column of D_w is the sum of the at most three
-    lower columns alpha names, added a few rows at a time."""
+    to row 0: onto the rows of weight w whose last entry is w - w'.
+
+    Each column of D_w is the sum of the at most three lower columns alpha
+    names, added a few rows at a time."""
     if not 0 <= k <= MAX_WEIGHT:
         raise ValueError(f"0 <= k <= {MAX_WEIGHT} required")
     classes = [_class_columns(w) for w in range(k + 1)]

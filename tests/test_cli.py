@@ -445,6 +445,20 @@ def test_kernel_stages_prints_the_certificate_stats(monkeypatch, capsys, argv):
         assert summed == list(exact_linalg.STAGES[1:])
 
 
+def test_cert_digest_script_is_reproducible(monkeypatch, capsys):
+    # two runs, each from a cold certificate cache, print the same digest
+    spec = importlib.util.spec_from_file_location("cert_digest", ROOT / "scripts" / "cert_digest.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    digests = []
+    for _ in range(2):
+        monkeypatch.setattr(exact_linalg, "_CERT_CACHE", {})
+        assert script.main(["--weight", "6"]) == 0
+        digests.append(capsys.readouterr().out)
+    assert re.fullmatch(r"[0-9a-f]{64}\n", digests[0])
+    assert digests[1] == digests[0]
+
+
 def test_weight8_report_script():
     proc = _python(str(ROOT / "scripts" / "weight8_report.py"), "--digits", "20", timeout=300)
     assert proc.returncode == 0, proc.stderr

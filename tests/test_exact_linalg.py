@@ -373,9 +373,10 @@ def test_ratrec_matrix_matches_entrywise(case):
     if want is None:
         assert got is None
     else:
-        F, L = got
-        assert F == want
+        P, L = got
         assert L == [lcm(*(row[f][1] for row in want)) for f in range(len(want[0]))]
+        # each column scaled by its lcm: P[i, f] / L[f] is -num/den
+        assert P.tolist() == [[-num * (L[f] // den) for f, (num, den) in enumerate(row)] for row in want]
 
 
 def test_exact_products():
@@ -556,7 +557,10 @@ def test_replayed_inverse_solves_pivot_block(block, n_cols, data):
 
 
 def test_replayed_inverse_past_a_reduction():
-    # a rank above 1024 makes the replay reduce its accumulator between panels
+    # a rank above 1024 makes the replay reduce its accumulator between the
+    # panels of a real elimination; its sums would stay below 2^53 even
+    # without that reduction, which only
+    # test_replay_reduces_before_its_sums_pass_2_53 needs
     rng = np.random.default_rng(3)
     M = rng.integers(-2, 3, size=(1100, 1030))
     p = PRIMES21[0]
@@ -566,6 +570,21 @@ def test_replayed_inverse_past_a_reduction():
     y = _solve_mod_p(inverse, R, p)
     A = M[list(rows)][:, list(pivots)]
     assert (_mul_exact(A, y) % p == R).all()
+
+
+def test_replay_reduces_before_its_sums_pass_2_53():
+    # 256 records that each add 64 products of p - 1 and (p - 1) / 2, about
+    # 2^47 a record, to the same rows: 2^55 in all, which float64 holds
+    # exactly only if the replay reduces every 1024 columns of products
+    p = PRIMES21[0]
+    G = np.full((64, 64), p - 1, dtype=np.float32)
+    inverse = [(64, 0, G)] * 256
+    v = np.full((128, 3), (p - 1) // 2, dtype=np.int64)
+    got = _solve_mod_p(inverse, v, p)
+    want = v.astype(object)
+    for lo, i, G in inverse:
+        want[lo : lo + len(G)] -= G.astype(np.int64).astype(object) @ want[i : i + G.shape[1]]
+    assert got.tolist() == (want % p).tolist()
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 31, 32, 33, 64])
